@@ -19,9 +19,11 @@
                            (record-then-detect phase 1)
 
    so the detection tax — sequential vs campaign throughput — is tracked
-   PR-over-PR in both detection modes.  [--max-tax R] turns the
-   access-heavy ratio into a CI gate: the bench fails if
-   sequential/campaign-offline exceeds R.
+   PR-over-PR in both detection modes, and printed as the Markdown
+   detection-tax table EXPERIMENTS.md carries.  [--max-tax [W=]R] turns
+   workload W's ratio into a CI gate (repeatable; a bare R gates
+   access-heavy): the bench fails if sequential/campaign-offline exceeds
+   R.
 
    Results are written as JSON (default BENCH_engine.json) so the perf
    trajectory is tracked PR-over-PR.  The same executable owns the
@@ -34,7 +36,8 @@
      dune exec bench/engine_bench.exe                      # full bench
      dune exec bench/engine_bench.exe -- --smoke           # tiny budget (CI)
      dune exec bench/engine_bench.exe -- --out FILE        # JSON destination
-     dune exec bench/engine_bench.exe -- --max-tax R       # gate on the ratio
+     dune exec bench/engine_bench.exe -- --max-tax R       # gate access-heavy
+     dune exec bench/engine_bench.exe -- --max-tax fork-heavy=R
      dune exec bench/engine_bench.exe -- --check FILE      # fingerprint drift
      dune exec bench/engine_bench.exe -- --write-golden FILE
      dune exec bench/engine_bench.exe -- --fingerprints    # print, no bench *)
@@ -377,6 +380,55 @@ let check_golden path =
   Fmt.pr "fingerprints: %d entries match %s@." (List.length golden) path
 
 (* ------------------------------------------------------------------ *)
+(* Detection tax: sequential ÷ campaign-offline steps/s per workload    *)
+
+let find_row rows workload harness =
+  List.find_opt (fun r -> r.r_workload = workload && r.r_harness = harness) rows
+
+let detection_tax rows workload =
+  match (find_row rows workload "sequential", find_row rows workload "campaign-offline") with
+  | Some seq, Some off when off.r_steps_per_sec > 0.0 ->
+      Some (seq.r_steps_per_sec /. off.r_steps_per_sec)
+  | _ -> None
+
+(* The EXPERIMENTS.md table, printed from the rows of this run so the
+   document is regenerated rather than edited. *)
+let print_tax_table rows =
+  let rate v =
+    if v >= 1e6 then Printf.sprintf "%.2fM" (v /. 1e6)
+    else Printf.sprintf "%.0fk" (v /. 1e3)
+  in
+  let cell workload harness =
+    match find_row rows workload harness with
+    | Some r -> rate r.r_steps_per_sec
+    | None -> "—"
+  in
+  Fmt.pr
+    "| workload | sequential | sequential-recorded | campaign (inline) | \
+     campaign-offline | tax |@.|---|---|---|---|---|---|@.";
+  List.iter
+    (fun w ->
+      Fmt.pr "| %s | %s | %s | %s | %s | %s |@." w (cell w "sequential")
+        (cell w "sequential-recorded") (cell w "campaign")
+        (cell w "campaign-offline")
+        (match detection_tax rows w with
+        | Some t -> Printf.sprintf "%.1f×" t
+        | None -> "—"))
+    (List.fold_left
+       (fun acc r ->
+         if List.mem r.r_workload acc then acc else acc @ [ r.r_workload ])
+       [] rows)
+
+(* [--max-tax [W=]R]: a bare ceiling gates access-heavy, the hottest Mem
+   path, where the tax historically peaked at ~18x. *)
+let parse_max_tax arg =
+  match String.index_opt arg '=' with
+  | Some i ->
+      ( String.sub arg 0 i,
+        float_of_string (String.sub arg (i + 1) (String.length arg - i - 1)) )
+  | None -> ("access-heavy", float_of_string arg)
+
+(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
 let () =
@@ -386,7 +438,7 @@ let () =
   let write_golden_to = ref None in
   let fingerprints_only = ref false in
   let domains = ref (min 4 (Domain.recommended_domain_count ())) in
-  let max_tax = ref None in
+  let max_tax = ref [] in
   let rec parse = function
     | [] -> ()
     | "--smoke" :: rest ->
@@ -408,12 +460,13 @@ let () =
         domains := int_of_string n;
         parse rest
     | "--max-tax" :: r :: rest ->
-        max_tax := Some (float_of_string r);
+        max_tax := !max_tax @ [ parse_max_tax r ];
         parse rest
     | a :: _ ->
         Fmt.epr
           "usage: engine_bench [--smoke] [--out FILE] [--check FILE] \
-           [--write-golden FILE] [--fingerprints] [--domains N] [--max-tax R] \
+           [--write-golden FILE] [--fingerprints] [--domains N] \
+           [--max-tax [WORKLOAD=]R]... \
            (got %s)@."
           a;
         exit 2
@@ -453,30 +506,22 @@ let () =
       rows;
     write_json ~path:!out ~mode:(if !smoke then "smoke" else "full") rows;
     Fmt.pr "wrote %s@." !out;
-    (* The detection-tax gate: sequential vs offline-campaign throughput
-       on the access-heavy workload (the hottest Mem path, where the tax
-       historically peaked at ~18x). *)
-    match !max_tax with
-    | None -> ()
-    | Some ceiling -> (
-        let find harness =
-          List.find_opt
-            (fun r -> r.r_workload = "access-heavy" && r.r_harness = harness)
-            rows
-        in
-        match (find "sequential", find "campaign-offline") with
-        | Some seq, Some off when off.r_steps_per_sec > 0.0 ->
-            let tax = seq.r_steps_per_sec /. off.r_steps_per_sec in
-            Fmt.pr "detection tax (access-heavy, offline): %.2fx (ceiling %.2fx)@."
-              tax ceiling;
+    Fmt.pr "@.detection-tax table:@.";
+    print_tax_table rows;
+    List.iter
+      (fun (w, ceiling) ->
+        match detection_tax rows w with
+        | Some tax ->
+            Fmt.pr "detection tax (%s, offline): %.2fx (ceiling %.2fx)@." w tax
+              ceiling;
             if tax > ceiling then begin
-              Fmt.epr
-                "FAIL: access-heavy detection tax %.2fx exceeds --max-tax %.2fx@."
+              Fmt.epr "FAIL: %s detection tax %.2fx exceeds --max-tax %.2fx@." w
                 tax ceiling;
               exit 1
             end
-        | _ ->
-            Fmt.epr "FAIL: --max-tax given but access-heavy rows are missing@.";
+        | None ->
+            Fmt.epr "FAIL: --max-tax given but %s rows are missing@." w;
             exit 1)
+      !max_tax
   end;
   match !check with Some path -> check_golden path | None -> ()

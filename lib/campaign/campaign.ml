@@ -999,7 +999,7 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
     match (repro_dir, corpus) with
     | (Some _ as d), _ | d, None -> d
     | None, Some dir ->
-        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+        Atomic_file.mkdir_p dir;
         Some (Filename.concat dir "repros")
   in
   (* Phase 1 is where detector state lives (phase-2 trials attach no
@@ -1039,7 +1039,7 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
   let trace_sink =
     Option.map
       (fun dir ->
-        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+        Atomic_file.mkdir_p dir;
         fun ~seed recording ->
           let name = Printf.sprintf "trace-seed%d.rfbt" seed in
           let path = Filename.concat dir name in

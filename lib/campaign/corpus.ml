@@ -37,8 +37,6 @@ let entry ~kind ~key ?(target = "") ?(pair = "") ?(seed = -1) () =
     e_seen = 1;
   }
 
-let mkdir_p dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -49,7 +47,7 @@ let file_crc path = Fnv.hex63 (read_file path)
 
 let ingest_file ~dir ~kind ~key ?(target = "") ?(pair = "") ?(seed = -1) ~src ()
     =
-  mkdir_p dir;
+  Atomic_file.mkdir_p dir;
   let base = Filename.basename src in
   let dst = Filename.concat dir base in
   let already_inside =
@@ -141,7 +139,7 @@ let load dir =
              | Event_log.Sealed_bad | Event_log.Unsealed -> None)
 
 let save dir entries =
-  mkdir_p dir;
+  Atomic_file.mkdir_p dir;
   Atomic_file.write (index_file dir) (fun oc ->
       output_string oc header_line;
       output_char oc '\n';

@@ -53,9 +53,6 @@ let error_witnesses ~witnesses (r : Fuzzer.pair_result) =
   |> List.filteri (fun i _ -> i < witnesses)
   |> List.map (fun (t : Fuzzer.trial) -> t.Fuzzer.t_seed)
 
-let mkdir_p dir =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-
 let write_narrative path ~(sched : Schedule.t) ~(stats : Shrinker.stats) =
   Atomic_file.write path (fun oc ->
       let ppf = Format.formatter_of_out_channel oc in
@@ -66,7 +63,7 @@ let write_narrative path ~(sched : Schedule.t) ~(stats : Shrinker.stats) =
 let write_all ?(fuel = 400) ?(witnesses = 3) ?(witness_scan = 32) ~dir ~target
     ?(max_steps = Rf_runtime.Engine.default_config.max_steps)
     ~(program : Fuzzer.program) (results : Fuzzer.pair_result list) : summary =
-  mkdir_p dir;
+  Atomic_file.mkdir_p dir;
   let oracle_total = ref 0 in
   let duplicates = ref 0 in
   let failed = ref 0 in

@@ -44,10 +44,10 @@ val write_all :
   program:Fuzzer.program ->
   Fuzzer.pair_result list ->
   summary
-(** Walk the harmful results and emit artifacts into [dir] (created if
-    missing).  [fuel] (default 400) bounds oracle executions per
-    minimization — repro work is budgeted like trial work, a few hundred
-    extra engine runs per artifact.  [witnesses] (default 3) caps
+(** Walk the harmful results and emit artifacts into [dir] (created
+    with any missing parents).  [fuel] (default 400) bounds oracle
+    executions per minimization — repro work is budgeted like trial
+    work, a few hundred extra engine runs per artifact.  [witnesses] (default 3) caps
     erroring seeds minimized per pair; when the pair's trial list yields
     fewer (early cutoff truncates it), seeds [0..witness_scan-1]
     (default 32) are scanned deterministically to fill the quota —

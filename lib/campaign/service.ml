@@ -301,7 +301,7 @@ module Ledger = struct
     |> List.sort (fun a b -> compare a.lt_name b.lt_name)
 
   let save ~dir t =
-    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+    Atomic_file.mkdir_p dir;
     Atomic_file.write (path dir) (fun oc ->
         let line s =
           output_string oc s;
@@ -359,15 +359,6 @@ let p1_cache_dir ~dir target =
 
 let p1_cache_file cdir seed = Filename.concat cdir (Printf.sprintf "trace-seed%d.rfbt" seed)
 
-let mkdir_p dir =
-  let rec go d =
-    if not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-    end
-  in
-  go dir
-
 let p1_cache_load cdir seeds =
   try
     if List.for_all (fun s -> Sys.file_exists (p1_cache_file cdir s)) seeds
@@ -391,7 +382,7 @@ let phase1_for ~dir ~target ~seeds program =
   match p1_cache_load cdir seeds with
   | Some recordings -> (Fuzzer.phase1_of_recordings recordings, true)
   | None ->
-      mkdir_p cdir;
+      Atomic_file.mkdir_p cdir;
       let sink ~seed recording =
         Rf_events.Btrace.save (p1_cache_file cdir seed) recording
       in

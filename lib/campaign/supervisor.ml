@@ -2,11 +2,11 @@
    detect crashes, respawn with exponential backoff, give up after a
    budget.
 
-   Each worker slot gets one long-lived supervising domain; each *attempt*
-   runs on a freshly spawned child domain, so a respawned worker starts
-   with clean domain-local state exactly like the original.  A crash is an
-   exception escaping the worker body (in OCaml a domain cannot die any
-   other way short of taking the whole process with it). *)
+   Slot 0 runs on the calling domain and every other slot on one freshly
+   spawned domain; respawns run on freshly spawned child domains (see
+   the note on attempts below).  A crash is an exception escaping the
+   worker body (in OCaml a domain cannot die any other way short of
+   taking the whole process with it). *)
 
 type policy = {
   max_respawns : int;
@@ -36,14 +36,19 @@ let nothing_crash ~domain:_ ~attempt:_ _ = ()
 let nothing_respawn ~domain:_ ~attempt:_ ~backoff:_ = ()
 
 (* One attempt, on a fresh child domain (clean domain-local state) or
-   inline on the calling domain.  Inline attempts exist for the
-   single-worker fleet: with one slot there is no parallelism to win, and
-   on a single core the idle supervising/joining domains are pure
-   overhead — every minor collection becomes a cross-domain stop-the-world
-   synchronization, taxing allocation-heavy workers by double-digit
-   percentages.  Crash/respawn semantics are identical either way; the
-   engine resets all per-run domain-local state itself, so where an
-   attempt runs can never affect what it computes. *)
+   inline on the slot's own domain.  A slot's first attempt always runs
+   inline: slot 0 on the calling domain, which would otherwise sit idle
+   in [Domain.join], and every other slot on the domain just spawned for
+   it.  Only respawns get a child domain, and in a single-worker fleet
+   not even those: with one slot there is no parallelism to win, and on
+   a single core an idle joining domain is pure overhead — every minor
+   collection becomes a cross-domain stop-the-world synchronization,
+   taxing allocation-heavy workers by double-digit percentages.  Fewer
+   spawns also keep memory flat: on OCaml 5.1 process RSS creeps with
+   every domain spawn, and a campaign runs one fleet per wave.
+   Crash/respawn semantics are identical either way; the engine resets
+   all per-run domain-local state itself, so where an attempt runs can
+   never affect what it computes. *)
 let spawned_attempt body ~domain =
   Domain.join
     (Domain.spawn (fun () ->
@@ -52,9 +57,10 @@ let spawned_attempt body ~domain =
 let inline_attempt body ~domain =
   match body ~domain with () -> Ok () | exception e -> Error e
 
-let run_slot ~run_attempt ~policy ~on_crash ~on_respawn ~on_give_up ~domain body
-    =
+let run_slot ~respawn_attempt ~policy ~on_crash ~on_respawn ~on_give_up ~domain
+    body =
   let rec go attempt crashes =
+    let run_attempt = if attempt = 0 then inline_attempt else respawn_attempt in
     match (run_attempt body ~domain : (unit, exn) result) with
     | Ok () -> (crashes, false)
     | Error e ->
@@ -74,23 +80,18 @@ let run_slot ~run_attempt ~policy ~on_crash ~on_respawn ~on_give_up ~domain body
 
 let supervise ?(policy = default_policy) ?(on_crash = nothing_crash)
     ?(on_respawn = nothing_respawn) ?(on_give_up = nothing1) ~domains body =
-  if domains = 1 then begin
-    let crashes, gave_up =
-      run_slot ~run_attempt:inline_attempt ~policy ~on_crash ~on_respawn
-        ~on_give_up ~domain:0 body
-    in
-    { crashes; gave_up = (if gave_up then 1 else 0) }
-  end
-  else
-    let slots =
-      List.init domains (fun domain ->
-          Domain.spawn (fun () ->
-              run_slot ~run_attempt:spawned_attempt ~policy ~on_crash
-                ~on_respawn ~on_give_up ~domain body))
-    in
-    let results = List.map Domain.join slots in
-    {
-      crashes = List.fold_left (fun acc (c, _) -> acc + c) 0 results;
-      gave_up =
-        List.fold_left (fun acc (_, g) -> acc + if g then 1 else 0) 0 results;
-    }
+  let respawn_attempt = if domains = 1 then inline_attempt else spawned_attempt in
+  let slot domain () =
+    run_slot ~respawn_attempt ~policy ~on_crash ~on_respawn ~on_give_up ~domain
+      body
+  in
+  let others = List.init (domains - 1) (fun d -> Domain.spawn (slot (d + 1))) in
+  (* Join every spawned slot before re-raising a failure of slot 0. *)
+  let first = match slot 0 () with r -> Ok r | exception e -> Error e in
+  let others = List.map Domain.join others in
+  let results = (match first with Ok r -> r | Error e -> raise e) :: others in
+  {
+    crashes = List.fold_left (fun acc (c, _) -> acc + c) 0 results;
+    gave_up =
+      List.fold_left (fun acc (_, g) -> acc + if g then 1 else 0) 0 results;
+  }

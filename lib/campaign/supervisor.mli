@@ -3,11 +3,12 @@
     whatever it had in flight (via the [on_crash] hook — the caller owns
     the in-flight bookkeeping).
 
-    Each worker slot is supervised independently.  Every attempt runs on a
-    freshly spawned domain, so a respawned worker starts with clean
-    domain-local state — which, combined with the engine resetting its
-    per-run counters, is why worker deaths cannot perturb trial results,
-    only who computes them. *)
+    Each worker slot is supervised independently.  Slot 0 runs on the
+    calling domain and every other slot on a freshly spawned one;
+    respawns run on new child domains (in a one-slot fleet, inline).
+    The engine resets all per-run domain-local state itself, which is
+    why worker deaths cannot perturb trial results, only who computes
+    them. *)
 
 type policy = {
   max_respawns : int;  (** respawn budget per worker slot *)

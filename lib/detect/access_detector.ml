@@ -3,7 +3,7 @@
     Both the hybrid detector [37] and the precise happens-before detector
     [44] follow the same scheme: maintain, per dynamic memory location, a
     bounded history of past access summaries (thread, site, access kind,
-    lockset, vector clock) and flag a race whenever a new access *conflicts*
+    lockset, clock epoch) and flag a race whenever a new access *conflicts*
     with a stored one under the detector's predicate.  They differ only in
     the happens-before edge policy and in whether disjoint locksets are
     required — see {!Hybrid} and {!Hb_precise} for the two instantiations.
@@ -13,7 +13,11 @@
     thread at the same site with the same lockset as a new access is
     superseded by it (the older clock is smaller, but any race it would
     reveal involves the same statement pair, which we have either already
-    reported or will report through another witness).  [truncations]
+    reported or will report through another witness).  A summary keeps
+    only its {e epoch} — the access's own component of its clock — not
+    the whole clock: the stored access always precedes the fresh one in
+    the trace, so the epoch decides concurrency exactly
+    ({!Hbclock.epoch_concurrent}).  [truncations]
     counts cap evictions so experiments can report potential missed pairs.
 
     {2 Resource governance}
@@ -56,7 +60,7 @@ type entry = {
   e_site : Site.t;
   e_access : Event.access;
   e_lockset : Lockset.t;
-  e_vc : Vclock.t;
+  e_clk : int;  (* epoch: the access's own component of its clock *)
 }
 
 type bucket = {
@@ -169,7 +173,10 @@ let create ?(cap = 128) ?governor ~name ~lock_edges ~require_disjoint_locksets
 
 let name t = t.dname
 
-let conflicting t lv (old : entry) (fresh : entry) =
+(* [vc] is the fresh access's full clock.  The stored access came
+   first in the trace, so its epoch alone decides concurrency
+   ({!Hbclock.epoch_concurrent}). *)
+let conflicting t lv (old : entry) (fresh : entry) vc =
   old.e_tid <> fresh.e_tid
   && (Event.access_equal old.e_access Event.Write
      || Event.access_equal fresh.e_access Event.Write)
@@ -182,12 +189,32 @@ let conflicting t lv (old : entry) (fresh : entry) =
   | Governor.Full | Governor.Sampled ->
       ((not t.require_disjoint_locksets)
       || Lockset.disjoint old.e_lockset fresh.e_lockset)
-      && Vclock.concurrent old.e_vc fresh.e_vc
+      && Hbclock.epoch_concurrent ~tid:old.e_tid ~clk:old.e_clk vc
+
+let same_summary (old : entry) (fresh : entry) =
+  old.e_tid = fresh.e_tid
+  && Site.equal old.e_site fresh.e_site
+  && Event.access_equal old.e_access fresh.e_access
+  && Lockset.equal old.e_lockset fresh.e_lockset
+
+let report t ~loc (old : entry) (fresh : entry) =
+  let pair = Site.Pair.make old.e_site fresh.e_site in
+  if not (Site.Pair.Set.mem pair t.reported) then begin
+    t.reported <- Site.Pair.Set.add pair t.reported;
+    t.races <-
+      Race.make ~pair ~loc
+        ~tids:(old.e_tid, fresh.e_tid)
+        ~accesses:(old.e_access, fresh.e_access)
+      :: t.races
+  end
+
+let rec drop n l =
+  if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
 
 let feed t ev =
   let lv = level t in
   (* At the bottom rung the clock machinery is frozen: no feeding, no
-     new clocks.  Entries recorded before the freeze keep their clocks,
+     new clocks.  Entries recorded before the freeze keep their epochs,
      but the predicate no longer consults them. *)
   let vc =
     match lv with
@@ -197,7 +224,15 @@ let feed t ev =
   match ev with
   | Event.Mem { tid; site; loc; access; lockset } ->
       t.mem_events <- t.mem_events + 1;
-      let fresh = { e_tid = tid; e_site = site; e_access = access; e_lockset = lockset; e_vc = vc } in
+      let fresh =
+        {
+          e_tid = tid;
+          e_site = site;
+          e_access = access;
+          e_lockset = lockset;
+          e_clk = Vclock.get vc tid;
+        }
+      in
       let bucket =
         match Loc.Tbl.find_opt t.history loc with
         | Some b -> b
@@ -210,64 +245,49 @@ let feed t ev =
             b
       in
       bucket.b_epoch <- t.mem_events;
+      (* One pass: report conflicts newest first, and collect the
+         summaries that the fresh one does not supersede (same
+         thread/site/access/lockset), oldest first. *)
+      let kept = ref [] and n = ref 0 and superseded = ref 0 in
       List.iter
         (fun old ->
-          if conflicting t lv old fresh then begin
-            let pair = Site.Pair.make old.e_site fresh.e_site in
-            if not (Site.Pair.Set.mem pair t.reported) then begin
-              t.reported <- Site.Pair.Set.add pair t.reported;
-              t.races <-
-                Race.make ~pair ~loc
-                  ~tids:(old.e_tid, fresh.e_tid)
-                  ~accesses:(old.e_access, fresh.e_access)
-                :: t.races
-            end
+          if conflicting t lv old fresh vc then report t ~loc old fresh;
+          if same_summary old fresh then incr superseded
+          else begin
+            kept := old :: !kept;
+            incr n
           end)
         bucket.b_entries;
-      (* Supersede a same-thread/site/lockset summary, then cap. *)
-      let before = List.length bucket.b_entries in
-      let rest =
-        List.filter
-          (fun old ->
-            not
-              (old.e_tid = fresh.e_tid
-              && Site.equal old.e_site fresh.e_site
-              && Event.access_equal old.e_access fresh.e_access
-              && Lockset.equal old.e_lockset fresh.e_lockset))
-          bucket.b_entries
-      in
-      let superseded = before - List.length rest in
-      if superseded > 0 then credit t superseded;
-      let cap = cap_at t lv in
+      if !superseded > 0 then credit t !superseded;
+      let n = !n and cap = cap_at t lv in
       (* A degradation step can shrink [cap] under a bucket filled at a
-         higher rung; trim the excess (newest-first list, so the tail is
-         oldest) before the insert below. *)
-      let rest =
-        let n = List.length rest in
-        if n > cap then begin
-          t.truncations <- t.truncations + (n - cap);
-          evict t (n - cap);
-          List.filteri (fun i _ -> i < cap) rest
-        end
-        else rest
-      in
+         higher rung; trim the oldest excess before the insert below. *)
+      if n > cap then begin
+        t.truncations <- t.truncations + (n - cap);
+        evict t (n - cap)
+      end;
+      let live = min n cap in
+      (* the [live] newest survivors, oldest first *)
+      let kept = drop (n - live) !kept in
       let updated =
-        if List.length rest >= cap then begin
+        if live >= cap then begin
           t.truncations <- t.truncations + 1;
           evict t 1;
           match lv with
           | Governor.Full ->
               (* drop the oldest entry *)
-              fresh :: List.filteri (fun i _ -> i < cap - 1) rest
+              fresh :: List.rev (drop 1 kept)
           | Governor.Sampled | Governor.Lockset_only ->
               (* Deterministic reservoir: a hash of the access counter
                  picks which retained summary the newcomer displaces, so
                  survivors are spread over the bucket's lifetime instead
                  of always being the most recent [cap]. *)
               let victim = fnv1a64 t.mem_events mod cap in
-              List.mapi (fun i old -> if i = victim then fresh else old) rest
+              List.mapi
+                (fun i old -> if i = victim then fresh else old)
+                (List.rev kept)
         end
-        else fresh :: rest
+        else fresh :: List.rev kept
       in
       charge t 1;
       bucket.b_entries <- updated

@@ -81,6 +81,12 @@ let thread_clock t tid =
 
 let msg_evictions t = t.msg_evictions
 
+(* An older event of [tid] at epoch [clk] is ordered before a later
+   event of another thread iff that thread has seen [tid]'s clock at
+   [clk] or beyond; the reverse order is impossible, since the later
+   event's own tick is unknown to anything fed before it. *)
+let epoch_concurrent ~tid ~clk vc = clk > Vclock.get vc tid
+
 (** Process one event; returns the event's vector clock. *)
 let feed t ev =
   let tid = Event.tid ev in

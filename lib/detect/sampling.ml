@@ -1,12 +1,12 @@
 (** O(1)-sample hybrid race detection with a computable miss bound.
 
     Full hybrid detection keeps up to [cap] access summaries per dynamic
-    location; on hot locations (server caches, session tables) each
-    summary pins a wide persistent vector clock and the detector's state
-    dwarfs the program's.  This detector keeps a {e constant} [k] samples
-    per location instead, chosen by deterministic reservoir sampling
-    (algorithm R): the [m]-th access to a location replaces a uniformly
-    chosen retained sample with probability [k/m], so after [n] accesses
+    location; on hot locations (server caches, session tables) the
+    detector's state dwarfs the program's.  This detector keeps a
+    {e constant} [k] samples per location instead, chosen by
+    deterministic reservoir sampling (algorithm R): the [m]-th access to
+    a location replaces a uniformly chosen retained sample with
+    probability [k/m], so after [n] accesses
     every past access is still retained with probability [k/n] — and the
     probability that a given racing pair went unobserved is at most
     [1 - k/n].  That per-location quantity, maximized over locations, is
@@ -55,7 +55,7 @@ type sample = {
   s_site : Site.t;
   s_access : Event.access;
   s_lockset : Lockset.t;
-  s_vc : Vclock.t;
+  s_clk : int;  (* epoch: the access's own component of its clock *)
 }
 
 type bucket = {
@@ -156,9 +156,11 @@ let create ?(k = 4) ?(seed = 0) ?governor () =
   t
 
 (* Hybrid predicate (O'Callahan–Choi): different threads, a write,
-   disjoint locksets, concurrent under weak happens-before.  At the
-   bottom rung clocks are frozen and only lock discipline remains. *)
-let conflicting lv (old : sample) (fresh : sample) =
+   disjoint locksets, concurrent under weak happens-before — decided by
+   the older sample's epoch against the fresh access's clock [vc]
+   ({!Hbclock.epoch_concurrent}).  At the bottom rung clocks are frozen
+   and only lock discipline remains. *)
+let conflicting lv (old : sample) (fresh : sample) vc =
   old.s_tid <> fresh.s_tid
   && (Event.access_equal old.s_access Event.Write
      || Event.access_equal fresh.s_access Event.Write)
@@ -167,7 +169,7 @@ let conflicting lv (old : sample) (fresh : sample) =
   match lv with
   | Governor.Lockset_only -> true
   | Governor.Full | Governor.Sampled ->
-      Vclock.concurrent old.s_vc fresh.s_vc
+      Hbclock.epoch_concurrent ~tid:old.s_tid ~clk:old.s_clk vc
 
 (* The reservoir draw for the [m]-th access to [loc]: a pure function of
    (sample seed, location hash, m), so the decision is identical no
@@ -191,7 +193,13 @@ let feed t ev =
   | Event.Mem { tid; site; loc; access; lockset } ->
       t.mem_events <- t.mem_events + 1;
       let fresh =
-        { s_tid = tid; s_site = site; s_access = access; s_lockset = lockset; s_vc = vc }
+        {
+          s_tid = tid;
+          s_site = site;
+          s_access = access;
+          s_lockset = lockset;
+          s_clk = Vclock.get vc tid;
+        }
       in
       let bucket =
         match Loc.Tbl.find_opt t.buckets loc with
@@ -206,9 +214,11 @@ let feed t ev =
       in
       bucket.b_epoch <- t.mem_events;
       bucket.n_seen <- bucket.n_seen + 1;
+      let live = ref 0 in
       List.iter
         (fun old ->
-          if conflicting lv old fresh then begin
+          incr live;
+          if conflicting lv old fresh vc then begin
             let pair = Site.Pair.make old.s_site fresh.s_site in
             if not (Site.Pair.Set.mem pair t.reported) then begin
               t.reported <- Site.Pair.Set.add pair t.reported;
@@ -225,8 +235,7 @@ let feed t ev =
          keeping a fixed prefix of the slots preserves uniformity (any
          fixed subset of reservoir positions is itself a uniform
          subsample), so the miss bound below stays valid. *)
-      let slots = bucket.slots in
-      let live = List.length slots in
+      let slots = bucket.slots and live = !live in
       let slots =
         if live > k then begin
           t.truncations <- t.truncations + (live - k);
@@ -235,7 +244,7 @@ let feed t ev =
         end
         else slots
       in
-      if List.length slots < k then begin
+      if live < k then begin
         charge t 1;
         bucket.slots <- slots @ [ fresh ]
       end

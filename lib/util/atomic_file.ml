@@ -12,3 +12,9 @@ let write path f =
   Sys.rename tmp path
 
 let write_string path s = write path (fun oc -> output_string oc s)
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end

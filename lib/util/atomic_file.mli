@@ -14,3 +14,8 @@ val write : string -> (out_channel -> unit) -> unit
 
 val write_string : string -> string -> unit
 (** [write_string path s] — {!write} of one [output_string]. *)
+
+val mkdir_p : string -> unit
+(** [mkdir_p dir] creates [dir] and any missing parents ([mkdir -p]).  A
+    directory created concurrently by another writer is not an error.
+    Raises [Sys_error] on any other filesystem failure. *)

@@ -14,7 +14,11 @@
      its release→acquire edge), so the candidate lockset is empty when
      the write arrives and the cell is in a Shared* state.  Read-second
      races are legitimately missed by Eraser (its Shared state never
-     reports), which is why the property is restricted to writes. *)
+     reports), which is why the property is restricted to writes.
+
+   A third property pins the epoch test the hybrid, precise-HB and
+   sampling detectors use in place of full clock comparison: on every
+   trace it must agree with [Vclock.concurrent] exactly. *)
 
 open Rf_util
 module A = Rf_lang.Ast
@@ -106,6 +110,69 @@ let prop_eraser_covers_fasttrack_writes =
               List.exists (Loc.equal r.Rf_detect.Race.loc) racy)
         (D.races ft))
 
+(* 3. The epoch test equals full clock comparison.  For every ordered
+   pair of memory events from different threads, fed in trace order to
+   one [Hbclock], [Hbclock.epoch_concurrent] on the older event's epoch
+   agrees with [Vclock.concurrent] on the two clocks (the reference).
+   Checked with and without lock edges, ungoverned and under a governor
+   tripped to Sampled halfway through the trace (which evicts message
+   clocks, so some receives add no edge), and per shard of the Offline
+   location split at 1 and 3 shards (each shard's clocks see every sync
+   event but only its own memory events). *)
+let epoch_matches_full_clocks ~lock_edges ~governed ~shards events =
+  let n = List.length events in
+  List.for_all
+    (fun shard ->
+      let governor =
+        if governed then Some (Rf_resource.Governor.create ()) else None
+      in
+      let hb = Rf_detect.Hbclock.create ?governor ~lock_edges () in
+      let mems = ref [] in
+      List.iteri
+        (fun i ev ->
+          (match governor with
+          | Some g when i = n / 2 ->
+              Rf_resource.Governor.trip g Rf_resource.Governor.Injected
+          | _ -> ());
+          match ev with
+          | Rf_events.Event.Mem { tid; loc; _ } ->
+              if Rf_detect.Offline.shard_of_loc ~shards loc = shard then
+                mems := (tid, Rf_detect.Hbclock.feed hb ev) :: !mems
+          | _ -> ignore (Rf_detect.Hbclock.feed hb ev))
+        events;
+      let rec check = function
+        | [] -> true
+        | (tj, cj) :: older ->
+            List.for_all
+              (fun (ti, ci) ->
+                ti = tj
+                || Rf_detect.Hbclock.epoch_concurrent ~tid:ti
+                     ~clk:(Rf_vclock.Vclock.get ci ti) cj
+                   = Rf_vclock.Vclock.concurrent ci cj)
+              older
+            && check older
+      in
+      check !mems)
+    (List.init shards Fun.id)
+
+let prop_epoch_equals_vclock =
+  QCheck.Test.make
+    ~name:"epoch test = Vclock.concurrent (lock edges, Sampled, shards)"
+    ~count:60
+    QCheck.(pair Rfl_gen.arbitrary_program small_int)
+    (fun (prog, seed) ->
+      let events = ref [] in
+      run ~seed ~listeners:[ (fun ev -> events := ev :: !events) ] (main_of prog);
+      (* keep the pair count bounded on long traces *)
+      let events = List.filteri (fun i _ -> i < 1500) (List.rev !events) in
+      List.for_all
+        (fun (lock_edges, governed, shards) ->
+          epoch_matches_full_clocks ~lock_edges ~governed ~shards events)
+        [
+          (false, false, 1); (true, false, 1); (false, true, 1); (true, true, 1);
+          (false, false, 3); (true, false, 3); (false, true, 3); (true, true, 3);
+        ])
+
 (* ------------------------------------------------------------------ *)
 (* Deterministic cases: figure 1, plus a hand-fed trace that pins down
    exactly where Eraser's blind spot is.                               *)
@@ -149,6 +216,7 @@ let () =
             prop_fasttrack_subset_hybrid;
             prop_fasttrack_subset_hb;
             prop_eraser_covers_fasttrack_writes;
+            prop_epoch_equals_vclock;
           ] );
       ( "deterministic",
         [

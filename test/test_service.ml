@@ -428,6 +428,23 @@ let test_serve_kill_restart_fingerprint_parity () =
   | Ok _ -> ()
   | Error p -> Alcotest.failf "corpus broken: %s" (String.concat "; " p)
 
+(* A repro directory whose parents are missing is created whole, not
+   an uncaught ENOENT from a single-level mkdir. *)
+let test_repros_under_missing_nested_dir () =
+  let root = tmpdir "rf-nested-repro" in
+  let dir = Filename.concat (Filename.concat root "missing") "nested" in
+  let r =
+    Campaign.run ~domains:1 ~cutoff:true ~phase1_seeds:(seeds 2)
+      ~seeds_per_pair:(seeds 10) ~target:"figure1" ~repro_dir:dir
+      W.Figure1.program
+  in
+  Alcotest.(check bool) "repros written" true
+    (r.Campaign.stats.Campaign.s_repro_written > 0);
+  Alcotest.(check bool) "schedule files in the nested dir" true
+    (Array.exists
+       (fun f -> Filename.check_suffix f ".sched.json")
+       (Sys.readdir dir))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -451,6 +468,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_ledger_roundtrip;
           Alcotest.test_case "torn lines" `Quick
             test_ledger_tolerates_torn_lines;
+          Alcotest.test_case "repros under missing nested dir" `Quick
+            test_repros_under_missing_nested_dir;
         ] );
       ( "revalidation",
         [

@@ -201,6 +201,20 @@ let prop_site_pair_commutative =
       let b = Site.make ~file:"q.rfl" ~line:(j mod 50) "s" in
       Site.Pair.equal (Site.Pair.make a b) (Site.Pair.make b a))
 
+(* ------------------------------------------------------------------ *)
+(* Atomic_file.mkdir_p                                                 *)
+
+let test_mkdir_p_nested () =
+  let root = Filename.temp_dir "rf-mkdir-p" "" in
+  let leaf = Filename.concat (Filename.concat root "a") "b" in
+  Atomic_file.mkdir_p leaf;
+  Alcotest.(check bool) "nested leaf created" true (Sys.is_directory leaf);
+  (* idempotent: an existing directory is not an error *)
+  Atomic_file.mkdir_p leaf;
+  Sys.rmdir leaf;
+  Sys.rmdir (Filename.dirname leaf);
+  Sys.rmdir root
+
 let () =
   Alcotest.run "rf_util"
     [
@@ -236,4 +250,6 @@ let () =
           Alcotest.test_case "kinds distinct" `Quick test_loc_kinds_distinct;
           Alcotest.test_case "compare consistent" `Quick test_loc_compare_consistent;
         ] );
+      ( "atomic_file",
+        [ Alcotest.test_case "mkdir_p nested" `Quick test_mkdir_p_nested ] );
     ]
