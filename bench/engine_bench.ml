@@ -27,10 +27,11 @@
 
    Results are written as JSON (default BENCH_engine.json) so the perf
    trajectory is tracked PR-over-PR.  The same executable owns the
-   trace-fingerprint drift check used by CI: [--write-golden FILE] records
-   the fingerprints of every registry workload (plus the three bench
-   workloads) at fixed seeds, and [--check FILE] recomputes and fails on
-   any drift — pinning engine behaviour, not just its speed.
+   fingerprint drift check used by CI: [--write-golden FILE] records the
+   trace fingerprints of every registry workload (plus the bench
+   workloads) and the decision fingerprints of every scheduling strategy
+   at fixed seeds, and [--check FILE] recomputes and fails on any drift —
+   pinning engine and scheduler behaviour, not just their speed.
 
    Usage:
      dune exec bench/engine_bench.exe                      # full bench
@@ -325,10 +326,136 @@ let compute_fingerprints () =
         fingerprint_seeds)
     (fingerprint_subjects ())
 
+(* Decision fingerprints: the schedule a strategy produced, as the
+   [Recorder] sees it — per decision the chosen tid, the stability key of
+   its pending operation and the PRNG state after the draw — folded with
+   FNV-1a.  Trace fingerprints only pin [Strategy.random]; these pin every
+   scheduler's choices, so a change to how strategies see the enabled set
+   cannot silently move a decision.  Subjects are named
+   <strategy>/<target>, e.g. [algo/moldyn] or [rapos/figure1]. *)
+
+let decision_fingerprint (sched : Rf_replay.Schedule.t) =
+  Array.fold_left
+    (fun h (st : Rf_replay.Schedule.step) ->
+      let h = Fnv.fold_int63 h st.Rf_replay.Schedule.st_tid in
+      let h =
+        Fnv.fold_string63 h
+          (Fmt.str "%a" Rf_replay.Schedule.pp_key st.Rf_replay.Schedule.st_key)
+      in
+      let rng = st.Rf_replay.Schedule.st_rng in
+      let h = Fnv.fold_int63 h (Int64.to_int (Int64.shift_right_logical rng 32)) in
+      Fnv.fold_int63 h (Int64.to_int (Int64.logand rng 0xFFFF_FFFFL)))
+    Fnv.basis63 sched.Rf_replay.Schedule.steps
+  |> Fnv.mask63
+
+(* One recorded run of an arbitrary strategy. *)
+let record_decisions ?(policy = Engine.Every_op) ~seed strategy program =
+  let strategy, recorder = Rf_replay.Recorder.wrap strategy in
+  let outcome =
+    Engine.run
+      ~config:{ Engine.default_config with seed; policy }
+      ~strategy program
+  in
+  decision_fingerprint (Rf_replay.Recorder.schedule ~seed ~outcome recorder)
+
+(* The first phase-1 candidate pair in textual order (site ids depend on
+   interning order, so [Site.Pair.compare] is not stable across builds). *)
+let first_candidate program =
+  let key p =
+    List.sort compare
+      [ Site.to_string (Site.Pair.fst p); Site.to_string (Site.Pair.snd p) ]
+  in
+  Racefuzzer.Fuzzer.phase1 ~seeds:[ 0; 1; 2 ] program
+  |> Racefuzzer.Fuzzer.potential_pairs |> Site.Pair.Set.elements
+  |> List.map (fun p -> (key p, p))
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> function
+  | [] -> None
+  | (_, p) :: _ -> Some p
+
+let load_rfl path =
+  match Rf_lang.Lang.load_file path with
+  | prog -> Rf_lang.Lang.program ~print:ignore prog
+  | exception Sys_error m ->
+      Fmt.epr "decision fingerprints need %s (run from the repo root): %s@."
+        path m;
+      exit 2
+
+let compute_decision_fingerprints () =
+  let per_seed name f =
+    List.map (fun seed -> (name, seed, f seed)) fingerprint_seeds
+  in
+  let algo =
+    List.map
+      (fun (w : W.Workload.t) -> (w.W.Workload.name, w.W.Workload.program))
+      W.Registry.all
+    @ [ (let wl = fork_heavy ~children:60 ~iters:4 in (wl.bname, wl.program)) ]
+    |> List.concat_map (fun (name, program) ->
+           match first_candidate program with
+           | None -> []
+           | Some pair ->
+               per_seed ("algo/" ^ name) (fun seed ->
+                   let _, sched =
+                     Racefuzzer.Fuzzer.record_trial ~program pair seed
+                   in
+                   decision_fingerprint sched))
+  in
+  let baselines =
+    List.concat_map
+      (fun (w : W.Workload.t) ->
+        List.concat_map
+          (fun (sname, mk) ->
+            per_seed
+              (sname ^ "/" ^ w.W.Workload.name)
+              (fun seed -> record_decisions ~seed (mk ()) w.W.Workload.program))
+          [
+            ("rapos", Racefuzzer.Rapos.strategy);
+            ("round-robin", Strategy.round_robin);
+            ("timesliced", fun () -> Strategy.timesliced ());
+            ("run-until-block", Strategy.run_until_block);
+          ])
+      W.Registry.litmus
+  in
+  let atom =
+    let program = load_rfl "examples/programs/bank.rfl" in
+    Racefuzzer.Atom_fuzzer.phase1 ~seeds:(List.init 5 Fun.id) program
+    |> List.mapi (fun i (c : Rf_detect.Atomicity.candidate) ->
+           let policy =
+             Engine.Sync_and
+               (Site.Set.of_list
+                  [
+                    c.Rf_detect.Atomicity.second_acquire;
+                    c.Rf_detect.Atomicity.interferer_site;
+                  ])
+           in
+           per_seed (Printf.sprintf "atomfuzzer/bank.rfl#%d" i) (fun seed ->
+               let report = Racefuzzer.Atom_fuzzer.fresh_report () in
+               record_decisions ~policy ~seed
+                 (Racefuzzer.Atom_fuzzer.strategy ~candidate:c ~report ())
+                 program))
+    |> List.concat
+  in
+  let deadlock =
+    let program = load_rfl "examples/programs/deadlock.rfl" in
+    Racefuzzer.Deadlock_fuzzer.phase1 ~seeds:(List.init 5 Fun.id) program
+    |> List.mapi (fun i (c : Rf_detect.Goodlock.candidate) ->
+           let sites = Site.Set.of_list c.Rf_detect.Goodlock.sites in
+           per_seed (Printf.sprintf "deadlockfuzzer/deadlock.rfl#%d" i)
+             (fun seed ->
+               let report = Racefuzzer.Deadlock_fuzzer.fresh_report () in
+               record_decisions ~policy:(Engine.Sync_and sites) ~seed
+                 (Racefuzzer.Deadlock_fuzzer.strategy ~sites ~report ())
+                 program))
+    |> List.concat
+  in
+  algo @ baselines @ atom @ deadlock
+
+let all_fingerprints () = compute_fingerprints () @ compute_decision_fingerprints ()
+
 let write_golden path entries =
   let oc = open_out path in
   Printf.fprintf oc
-    "# Golden trace fingerprints: <workload> <seed> <fingerprint>\n";
+    "# Golden trace and decision fingerprints: <subject> <seed> <fingerprint>\n";
   Printf.fprintf oc
     "# Regenerate with: dune exec bench/engine_bench.exe -- --write-golden %s\n"
     path;
@@ -353,7 +480,7 @@ let read_golden path =
 
 let check_golden path =
   let golden = read_golden path in
-  let current = compute_fingerprints () in
+  let current = all_fingerprints () in
   let lookup name seed =
     List.find_opt (fun (n, sd, _) -> n = name && sd = seed) current
   in
@@ -474,13 +601,13 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   (match !write_golden_to with
   | Some path ->
-      write_golden path (compute_fingerprints ());
+      write_golden path (all_fingerprints ());
       Fmt.pr "wrote golden fingerprints to %s@." path
   | None -> ());
   if !fingerprints_only then
     List.iter
       (fun (name, seed, fp) -> Fmt.pr "%s %d %d@." name seed fp)
-      (compute_fingerprints ())
+      (all_fingerprints ())
   else begin
     let wls = workloads ~smoke:!smoke in
     let min_wall = if !smoke then 0.05 else 0.5 in
