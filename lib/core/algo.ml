@@ -75,56 +75,139 @@ let hits r = List.rev r.hits
 (** Default bound (in scheduler steps) a thread may stay postponed. *)
 let default_postpone_timeout = 2_000
 
-(** [Racing (s, t, postponed)] — Algorithm 2: the postponed threads whose
-    pending access conflicts with [m] (same dynamic location, at least one
-    write).  Postponed threads are always parked at a [RaceSet] memory
-    operation, so no site check is needed here, mirroring the paper. *)
-let racing (m : Op.mem) is_postponed (enabled : Strategy.entry list) =
-  List.filter
-    (fun (e : Strategy.entry) ->
-      is_postponed e.Strategy.tid
-      &&
-      match Op.pend_mem e.Strategy.pend with
-      | Some m' ->
-          Loc.equal m.Op.loc m'.Op.loc
-          && (m.Op.access = Rf_events.Event.Write
-             || m'.Op.access = Rf_events.Event.Write)
-      | None -> false)
-    enabled
+(** [conflicts m m'] — the per-thread test of [Racing] (Algorithm 2):
+    same dynamic location, at least one write.  Postponed threads are
+    always parked at a [RaceSet] memory operation, so no site check is
+    needed, mirroring the paper. *)
+let conflicts (m : Op.mem) (m' : Op.mem) =
+  Loc.equal m.Op.loc m'.Op.loc
+  && (m.Op.access = Rf_events.Event.Write || m'.Op.access = Rf_events.Event.Write)
+
+(* Index of [tid] in the view's ascending enabled rows (binary search). *)
+let rank view tid =
+  let lo = ref 0 and hi = ref (Strategy.count view) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if (Strategy.nth view mid).Strategy.tid < tid then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 (** Build the strategy for one run.
 
     [pair] is the RaceSet; [report] collects hits; [postpone_timeout]
     bounds how long (in engine steps, the [view.step] clock — not strategy
     consultations, which advance more slowly under [`Sync_and] fast paths)
-    a thread may stay postponed, [None] disabling relief (ablation). *)
+    a thread may stay postponed, [None] disabling relief (ablation).
+
+    Consultation cost.  A postponed thread is parked at a RaceSet memory
+    access, which keeps it enabled, and it runs only after being released;
+    so the postponed set is a subset of the enabled set.  The strategy
+    keeps it as a small tid-sorted array and never looks at the other
+    enabled threads one by one: the available count is [count - p], the
+    k-th available thread is found by skipping the postponed threads'
+    ranks, and [Racing] scans the postponed threads only.  A consultation
+    costs O(p log n) for p postponed of n enabled threads, and allocates
+    nothing unless a race is created. *)
 let strategy ?(postpone_timeout = Some default_postpone_timeout) ~pair ~report () :
     Strategy.t =
-  (* tid -> step at which it was postponed; -1 = not postponed.  A flat
-     array (plus a live count) instead of a hashtable: the [Racing] scan
-     probes membership for every enabled thread on every consultation of
-     the racing hot loop, so membership must be an array read. *)
-  let p_since = ref (Array.make 16 (-1)) in
+  (* the postponed set, ascending by tid: [p_tid.(j)] was postponed at
+     step [p_since.(j)], for [j < p_count] *)
+  let p_tid = ref (Array.make 8 0) in
+  let p_since = ref (Array.make 8 0) in
   let p_count = ref 0 in
-  let ensure tid =
-    let n = Array.length !p_since in
-    if tid >= n then begin
-      let a = Array.make (max (tid + 1) (2 * n)) (-1) in
-      Array.blit !p_since 0 a 0 n;
-      p_since := a
-    end
+  (* a lower bound on every [p_since]: while even it cannot have timed
+     out, the timeout sweep is skipped *)
+  let p_oldest = ref 0 in
+  (* index of [tid] in [p_tid], or [-1 - insertion point] *)
+  let p_index tid =
+    let lo = ref 0 and hi = ref !p_count in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if !p_tid.(mid) < tid then lo := mid + 1 else hi := mid
+    done;
+    if !lo < !p_count && !p_tid.(!lo) = tid then !lo else -1 - !lo
   in
-  let is_postponed tid = tid < Array.length !p_since && !p_since.(tid) >= 0 in
   let postpone tid step =
-    ensure tid;
-    if !p_since.(tid) < 0 then incr p_count;
-    !p_since.(tid) <- step
+    if !p_count = 0 || step < !p_oldest then p_oldest := step;
+    let j = p_index tid in
+    if j >= 0 then !p_since.(j) <- step
+    else begin
+      let i = -1 - j in
+      if !p_count = Array.length !p_tid then begin
+        let grow a =
+          let b = Array.make (2 * Array.length a) 0 in
+          Array.blit a 0 b 0 !p_count;
+          b
+        in
+        p_tid := grow !p_tid;
+        p_since := grow !p_since
+      end;
+      Array.blit !p_tid i !p_tid (i + 1) (!p_count - i);
+      Array.blit !p_since i !p_since (i + 1) (!p_count - i);
+      !p_tid.(i) <- tid;
+      !p_since.(i) <- step;
+      incr p_count
+    end
   in
   let release tid =
-    if is_postponed tid then begin
-      !p_since.(tid) <- -1;
+    let j = p_index tid in
+    if j >= 0 then begin
+      Array.blit !p_tid (j + 1) !p_tid j (!p_count - j - 1);
+      Array.blit !p_since (j + 1) !p_since j (!p_count - j - 1);
       decr p_count
     end
+  in
+  (* Livelock relief: free the threads postponed for too long, in tid
+     order, and tighten [p_oldest] to the survivors' minimum. *)
+  let sweep bound step =
+    let kept = ref 0 and oldest = ref step in
+    for j = 0 to !p_count - 1 do
+      let since = !p_since.(j) in
+      if step - since > bound then
+        report.timeout_releases <- report.timeout_releases + 1
+      else begin
+        !p_tid.(!kept) <- !p_tid.(j);
+        !p_since.(!kept) <- since;
+        incr kept;
+        if since < !oldest then oldest := since
+      end
+    done;
+    p_count := !kept;
+    p_oldest := !oldest
+  in
+  (* The enabled row of a postponed thread. *)
+  let postponed_row view tid =
+    let i = rank view tid in
+    if i < Strategy.count view && (Strategy.nth view i).Strategy.tid = tid then
+      Strategy.nth view i
+    else Fmt.invalid_arg "Algo: postponed thread t%d is not enabled" tid
+  in
+  (* The [k]-th enabled thread, in tid order, that is not postponed: start
+     at rank [k] and step over every postponed rank at or below it. *)
+  let nth_available view k =
+    let c = ref k and j = ref 0 in
+    while
+      !j < !p_count
+      &&
+      let r = rank view !p_tid.(!j) in
+      r <= !c
+    do
+      incr c;
+      incr j
+    done;
+    Strategy.nth view !c
+  in
+  (* [Racing (s, t, postponed)] — Algorithm 2: the postponed threads whose
+     pending access conflicts with [m], in ascending tid order. *)
+  let racing view (m : Op.mem) =
+    let acc = ref [] in
+    for j = !p_count - 1 downto 0 do
+      let e = postponed_row view !p_tid.(j) in
+      match Op.pend_mem e.Strategy.pend with
+      | Some m' when conflicts m m' -> acc := e :: !acc
+      | _ -> ()
+    done;
+    !acc
   in
   (* (postponed site id, arriving site id) -> locations already recorded:
      only the first creation of a distinct race conses a hit.  The
@@ -135,21 +218,10 @@ let strategy ?(postpone_timeout = Some default_postpone_timeout) ~pair ~report (
      to break an all-postponed deadlock) *)
   let queue : int list ref = ref [] in
   let choose (view : Strategy.view) =
-    (* Livelock relief: free threads postponed for too long.  The array
-       scan runs in tid order — the same order the hashtable version
-       produced by sorting — so any future PRNG consumption stays a
-       function of the run state alone. *)
+    let step = Strategy.step view and prng = Strategy.prng view in
     (match postpone_timeout with
-    | None -> ()
-    | Some bound ->
-        if !p_count > 0 then
-          Array.iteri
-            (fun tid since ->
-              if since >= 0 && view.step - since > bound then begin
-                release tid;
-                report.timeout_releases <- report.timeout_releases + 1
-              end)
-            !p_since);
+    | Some bound when !p_count > 0 && step - !p_oldest > bound -> sweep bound step
+    | _ -> ());
     (* Serve the must-run queue first (Algorithm 1 line 16: execute all
        threads of R). *)
     let rec from_queue () =
@@ -157,96 +229,82 @@ let strategy ?(postpone_timeout = Some default_postpone_timeout) ~pair ~report (
       | [] -> None
       | tid :: rest ->
           queue := rest;
-          if List.exists (fun (e : Strategy.entry) -> e.tid = tid) view.enabled then
-            Some tid
-          else from_queue ()
+          if Strategy.is_enabled view tid then Some tid else from_queue ()
     in
     match from_queue () with
     | Some tid -> tid
     | None ->
         let rec pick_loop () =
-          let avail =
-            (* nothing postponed (the common case off the racing loop):
-               the filter would copy [enabled] verbatim — skip it *)
-            if !p_count = 0 then view.enabled
-            else
-              List.filter
-                (fun (e : Strategy.entry) -> not (is_postponed e.tid))
-                view.enabled
-          in
-          match avail with
-          | [] ->
-              (* Everyone enabled is postponed: break the scheduler deadlock
-                 by releasing and *executing* a random postponed thread. *)
-              let victims =
-                List.filter
-                  (fun (e : Strategy.entry) -> is_postponed e.tid)
-                  view.enabled
-              in
-              let v = Prng.pick view.prng victims in
-              release v.Strategy.tid;
-              report.evictions <- report.evictions + 1;
-              v.Strategy.tid
-          | _ -> (
-              let e = Prng.pick view.prng avail in
-              match Op.pend_mem e.Strategy.pend with
-              | Some m when Site.Pair.mem m.Op.site pair -> (
-                  match racing m is_postponed view.enabled with
-                  | [] ->
-                      (* No racing partner parked yet: wait for one. *)
-                      postpone e.Strategy.tid view.step;
+          let n = Strategy.count view in
+          if !p_count = n then begin
+            (* Everyone enabled is postponed: break the scheduler deadlock
+               by releasing and *executing* a random postponed thread. *)
+            let v = Strategy.nth view (Prng.int prng n) in
+            release v.Strategy.tid;
+            report.evictions <- report.evictions + 1;
+            v.Strategy.tid
+          end
+          else begin
+            let k = Prng.int prng (n - !p_count) in
+            let e =
+              if !p_count = 0 then Strategy.nth view k else nth_available view k
+            in
+            match Op.pend_mem e.Strategy.pend with
+            | Some m when Site.Pair.mem m.Op.site pair -> (
+                match racing view m with
+                | [] ->
+                    (* No racing partner parked yet: wait for one. *)
+                    postpone e.Strategy.tid step;
+                    report.postponements <- report.postponements + 1;
+                    pick_loop ()
+                | r ->
+                    (* Real race created. Record and resolve randomly. *)
+                    let first = List.hd r in
+                    let postponed_site =
+                      match Op.pend_mem first.Strategy.pend with
+                      | Some m' -> m'.Op.site
+                      | None -> m.Op.site
+                    in
+                    let toward_arriving = Prng.bool prng in
+                    report.hit_events <- report.hit_events + 1;
+                    let key = (Site.id postponed_site, Site.id m.Op.site) in
+                    let locs =
+                      match Hashtbl.find_opt recorded key with
+                      | Some l -> l
+                      | None ->
+                          let l = ref [] in
+                          Hashtbl.add recorded key l;
+                          l
+                    in
+                    let tids = List.map (fun (x : Strategy.entry) -> x.tid) r in
+                    if not (List.exists (Loc.equal m.Op.loc) !locs) then begin
+                      locs := m.Op.loc :: !locs;
+                      report.hits <-
+                        {
+                          hit_pair = pair;
+                          hit_sites = (postponed_site, m.Op.site);
+                          hit_loc = m.Op.loc;
+                          hit_arriving = e.Strategy.tid;
+                          hit_postponed = tids;
+                          hit_step = step;
+                          resolved_arriving = toward_arriving;
+                        }
+                        :: report.hits
+                    end;
+                    if toward_arriving then
+                      (* arriving thread executes; R stays postponed *)
+                      e.Strategy.tid
+                    else begin
+                      (* postponed side executes (all of R); arriving
+                         thread is postponed in its place *)
+                      postpone e.Strategy.tid step;
                       report.postponements <- report.postponements + 1;
-                      pick_loop ()
-                  | r ->
-                      (* Real race created. Record and resolve randomly. *)
-                      let first = List.hd r in
-                      let postponed_site =
-                        match Op.pend_mem first.Strategy.pend with
-                        | Some m' -> m'.Op.site
-                        | None -> m.Op.site
-                      in
-                      let toward_arriving = Prng.bool view.prng in
-                      report.hit_events <- report.hit_events + 1;
-                      let key = (Site.id postponed_site, Site.id m.Op.site) in
-                      let locs =
-                        match Hashtbl.find_opt recorded key with
-                        | Some l -> l
-                        | None ->
-                            let l = ref [] in
-                            Hashtbl.add recorded key l;
-                            l
-                      in
-                      if not (List.exists (Loc.equal m.Op.loc) !locs) then begin
-                        locs := m.Op.loc :: !locs;
-                        report.hits <-
-                          {
-                            hit_pair = pair;
-                            hit_sites = (postponed_site, m.Op.site);
-                            hit_loc = m.Op.loc;
-                            hit_arriving = e.Strategy.tid;
-                            hit_postponed =
-                              List.map (fun (x : Strategy.entry) -> x.tid) r;
-                            hit_step = view.step;
-                            resolved_arriving = toward_arriving;
-                          }
-                          :: report.hits
-                      end;
-                      if toward_arriving then
-                        (* arriving thread executes; R stays postponed *)
-                        e.Strategy.tid
-                      else begin
-                        (* postponed side executes (all of R); arriving
-                           thread is postponed in its place *)
-                        postpone e.Strategy.tid view.step;
-                        report.postponements <- report.postponements + 1;
-                        List.iter
-                          (fun (x : Strategy.entry) -> release x.tid)
-                          r;
-                        let tids = List.map (fun (x : Strategy.entry) -> x.tid) r in
-                        queue := List.tl tids;
-                        List.hd tids
-                      end)
-              | _ -> e.Strategy.tid)
+                      List.iter release tids;
+                      queue := List.tl tids;
+                      List.hd tids
+                    end)
+            | _ -> e.Strategy.tid
+          end
         in
         pick_loop ()
   in

@@ -48,16 +48,14 @@ let strategy () : Strategy.t =
       | [] -> None
       | tid :: rest ->
           round := rest;
-          if List.exists (fun (e : Strategy.entry) -> e.tid = tid) view.enabled then
-            Some tid
-          else from_round ()
+          if Strategy.is_enabled view tid then Some tid else from_round ()
     in
     match from_round () with
     | Some tid -> tid
     | None ->
         (* Start a new round: sample a maximal pairwise-independent subset. *)
-        let entries = Array.of_list view.enabled in
-        Prng.shuffle view.prng entries;
+        let entries = Array.init (Strategy.count view) (Strategy.nth view) in
+        Prng.shuffle (Strategy.prng view) entries;
         let chosen =
           Array.fold_left
             (fun acc (e : Strategy.entry) ->
@@ -70,7 +68,8 @@ let strategy () : Strategy.t =
         (match tids with
         | [] ->
             (* all enabled conflict with each other; degenerate to random *)
-            (Prng.pick view.prng view.enabled).Strategy.tid
+            let prng = Strategy.prng view in
+            (Strategy.nth view (Prng.int prng (Strategy.count view))).Strategy.tid
         | t :: rest ->
             round := rest;
             t)

@@ -8,7 +8,7 @@ let wrap (inner : Strategy.t) : Strategy.t * t =
   let choose (view : Strategy.view) =
     let tid = inner.Strategy.choose view in
     let entry =
-      match List.find_opt (fun e -> e.Strategy.tid = tid) view.Strategy.enabled with
+      match Strategy.find view tid with
       | Some e -> e
       | None ->
           Fmt.invalid_arg "Recorder: strategy %S chose tid %d, not enabled"
@@ -20,7 +20,7 @@ let wrap (inner : Strategy.t) : Strategy.t * t =
       {
         Schedule.st_tid = tid;
         st_key = Schedule.key_of_pend entry.Strategy.pend;
-        st_rng = Prng.state view.Strategy.prng;
+        st_rng = Prng.state (Strategy.prng view);
       }
     in
     rec_.rev_steps <- step :: rec_.rev_steps;

@@ -25,10 +25,10 @@ type status = {
 exception Diverged of divergence
 
 let describe_enabled (view : Strategy.view) =
-  view.Strategy.enabled
-  |> List.map (fun (e : Strategy.entry) ->
-         Fmt.str "t%d:%a" e.Strategy.tid Schedule.pp_key
-           (Schedule.key_of_pend e.Strategy.pend))
+  List.init (Strategy.count view) (fun i ->
+      let e = Strategy.nth view i in
+      Fmt.str "t%d:%a" e.Strategy.tid Schedule.pp_key
+        (Schedule.key_of_pend e.Strategy.pend))
   |> String.concat " "
 
 let strategy ?(mode = Exact) (sched : Schedule.t) ~(fallback : Strategy.t) :
@@ -49,7 +49,7 @@ let strategy ?(mode = Exact) (sched : Schedule.t) ~(fallback : Strategy.t) :
   let take (view : Strategy.view) (st : Schedule.step) =
     status.taken <- status.taken + 1;
     incr pos;
-    Prng.set_state view.Strategy.prng st.Schedule.st_rng;
+    Prng.set_state (Strategy.prng view) st.Schedule.st_rng;
     st.Schedule.st_tid
   in
   let rec choose (view : Strategy.view) =
@@ -60,7 +60,7 @@ let strategy ?(mode = Exact) (sched : Schedule.t) ~(fallback : Strategy.t) :
     else begin
       let st = steps.(!pos) in
       let tid = st.Schedule.st_tid in
-      match List.find_opt (fun e -> e.Strategy.tid = tid) view.Strategy.enabled with
+      match Strategy.find view tid with
       | Some entry ->
           let live_key = Schedule.key_of_pend entry.Strategy.pend in
           if Schedule.equal_key live_key st.Schedule.st_key then take view st

@@ -30,24 +30,32 @@
     RaceFuzzer passes the racing pair as [sites], while detectors that need
     every access use [`Every_op].
 
-    {2 Hot-path data structures (amortized O(1) per step)}
+    {2 Hot-path data structures}
 
-    The per-step bookkeeping never scans the whole thread population:
+    Neither the per-step bookkeeping nor a scheduler consultation scans
+    the thread population; both cost the same with 4 threads or 4000:
 
     - threads live in a growable array indexed by tid, so [thread] lookup
-      (joins, notify targets, strategy validation) is one array read;
+      (joins, notify targets) is one array read;
     - lock monitor state lives in a growable array indexed by lock id;
     - each thread caches its lockset ({!Lockset.t} is a persistent set, so
       the cached value is shared into emitted [Mem] events without
       copying), updated only at outermost acquire / innermost release;
-    - enabledness is maintained {e incrementally}: every thread carries an
-      [enabled_flag] (mirrored by a global count), recomputed only at the
-      transitions that can change it — fork, death, acquire/release,
-      wait/notify, join, interrupt.  Threads blocked acquiring a monitor
-      are registered in that monitor's [contenders] list and re-evaluated
-      when its holder changes; threads blocked joining are registered in
-      the target's [joiners] list and woken at its death.  The scheduler
-      loop never re-runs the enabledness predicate over all threads;
+    - the enabled set is the strategy view itself ({!Strategy.view}): a
+      sorted array of enabled tids plus one row per tid, whose [pend] the
+      engine overwrites in place when the thread parks.  That row is the
+      only copy of a thread's pending-operation summary.  [set_enabled]
+      is the single place enabledness changes, and it updates the sorted
+      array there (an append at fork, a binary search and a tail blit
+      elsewhere), so consulting the strategy only stamps the step counter
+      on the view — no walk over dead threads, no list, no allocation;
+    - enabledness is recomputed only at the transitions that can change
+      it — fork, death, acquire/release, wait/notify, join, interrupt.
+      Threads blocked acquiring a monitor are registered in that monitor's
+      [contenders] list and re-evaluated when its holder changes; threads
+      blocked joining are registered in the target's [joiners] list and
+      woken at its death.  The scheduler loop never re-runs the
+      enabledness predicate over all threads;
     - events are only constructed when someone observes them (a recorded
       trace, a listener, or verbose mode): with no sink attached, [emit]
       costs nothing — no event record, no lockset snapshot. *)
@@ -121,11 +129,7 @@ type thread = {
   mutable death_msg : int option;
   mutable last_site : Site.t option;
   mutable lockset_id : int;  (* [lockset] interned in the binary writer *)
-  mutable enabled_flag : bool;  (* maintained at enabledness transitions *)
   mutable joiners : int list;  (* live threads parked joining this one *)
-  mutable entry : Strategy.entry;
-      (* strategy-view row for this thread, rebuilt when it parks; sharing
-         it across consultations keeps [view_of] allocation-free per row *)
 }
 
 type lock_state = {
@@ -147,7 +151,7 @@ type t = {
   mutable threads : thread array;  (* index = tid; first n_threads slots *)
   mutable n_threads : int;
   mutable lock_states : lock_state option array;  (* index = lock id *)
-  mutable enabled_count : int;
+  view : Strategy.view;  (* the enabled set and every thread's row *)
   mutable steps : int;
   mutable switches : int;
   mutable next_msg : int;
@@ -260,14 +264,10 @@ let alive th = not (is_dead th)
 (* Enabledness (paper §2.1), maintained incrementally.
 
    [compute_enabled] is the paper's predicate; it is evaluated only at the
-   transitions that can change a thread's answer, and the result is cached
-   in [enabled_flag] / [enabled_count] for the scheduler loop.           *)
+   transitions that can change a thread's answer, and the result is kept
+   in the strategy view's sorted enabled set for the scheduler loop.     *)
 
-let set_enabled eng th v =
-  if th.enabled_flag <> v then begin
-    th.enabled_flag <- v;
-    eng.enabled_count <- eng.enabled_count + (if v then 1 else -1)
-  end
+let set_enabled eng th v = Strategy.set_enabled eng.view th.tid v
 
 let compute_enabled eng th =
   match th.fiber with
@@ -313,7 +313,7 @@ let on_park eng th (type a) (op : a Op.t) =
   | _ -> set_enabled eng th true
 
 let new_thread eng ~name body =
-  let tid = eng.n_threads in
+  let tid = Strategy.add_thread eng.view ~name in
   let th =
     {
       tid;
@@ -326,9 +326,7 @@ let new_thread eng ~name body =
       pending_rcv = None;
       death_msg = None;
       last_site = None;
-      enabled_flag = false;
       joiners = [];
-      entry = { Strategy.tid; tname = name; pend = Op.P_start };
     }
   in
   let cap = Array.length eng.threads in
@@ -399,7 +397,7 @@ let handler eng th =
             Some
               (fun (k : (a, _) Effect.Deep.continuation) ->
                 th.fiber <- Pending (op, k);
-                th.entry <- { th.entry with pend = Op.pend_of op };
+                Strategy.set_pend eng.view th.tid (Op.pend_of op);
                 on_park eng th op)
         | _ -> None);
   }
@@ -430,9 +428,9 @@ let flush_rcv eng th =
 (* ------------------------------------------------------------------ *)
 (* Executing one pending operation: the paper's Execute(s, t).         *)
 
-let record_site th =
-  (* [th.entry.pend] mirrors the parked op, so no pend view is rebuilt here. *)
-  match Op.pend_site th.entry.Strategy.pend with
+let record_site eng th =
+  (* The view row's [pend] mirrors the parked op, so no pend is rebuilt. *)
+  match Op.pend_site (Strategy.row eng.view th.tid).Strategy.pend with
   | Some _ as s -> th.last_site <- s
   | None -> ()
 
@@ -444,7 +442,7 @@ let exec_op (eng : t) (th : thread) : unit =
       if eng.sink then emit_start eng ~tid:th.tid ~name:th.tname;
       start_fiber eng th body
   | Pending (op, k) -> (
-      record_site th;
+      record_site eng th;
       flush_rcv eng th;
       match op with
       | Op.Mem { site; loc; access } ->
@@ -564,11 +562,8 @@ let exec_op (eng : t) (th : thread) : unit =
                         wth.pending_rcv <- Some (g, Event.Notify);
                         wth.fiber <-
                           Pending (Op.Reacquire (wlock, wdepth, false, wsite), wk);
-                        wth.entry <-
-                          {
-                            wth.entry with
-                            pend = Op.P_reacquire { lock = Lock.id wlock; site = wsite };
-                          };
+                        Strategy.set_pend eng.view wtid
+                          (Op.P_reacquire { lock = Lock.id wlock; site = wsite });
                         ls.contenders <- wtid :: ls.contenders;
                         refresh_enabled eng wth
                     | _ ->
@@ -615,11 +610,8 @@ let exec_op (eng : t) (th : thread) : unit =
                  ls.waiters <- List.filter (fun tid -> tid <> target.tid) ls.waiters;
                  target.fiber <-
                    Pending (Op.Reacquire (wlock, wdepth, true, wsite), wk);
-                 target.entry <-
-                   {
-                     target.entry with
-                     pend = Op.P_reacquire { lock = Lock.id wlock; site = wsite };
-                   };
+                 Strategy.set_pend eng.view target.tid
+                   (Op.P_reacquire { lock = Lock.id wlock; site = wsite });
                  ls.contenders <- target.tid :: ls.contenders
              | _ -> ());
              if target.tid <> th.tid then refresh_enabled eng target
@@ -655,12 +647,8 @@ let rec drain_fast eng th =
   end
 
 let view_of eng =
-  let entries = ref [] in
-  for i = eng.n_threads - 1 downto 0 do
-    let th = eng.threads.(i) in
-    if th.enabled_flag then entries := th.entry :: !entries
-  done;
-  { Strategy.step = eng.steps; enabled = !entries; prng = eng.prng }
+  Strategy.set_step eng.view eng.steps;
+  eng.view
 
 (* The watchdog: consulted at every switch point.  The step cap is exact
    (to switch granularity); the wall clock and heap watermark are polled
@@ -703,15 +691,14 @@ let rec loop eng =
     match deadline_hit eng with
     | Some reason -> eng.cancelled <- Some reason
     | None ->
-  if eng.enabled_count = 0 then ()
+  if Strategy.count eng.view = 0 then ()
     (* termination or deadlock; classified by [run] *)
   else begin
     let view = view_of eng in
     eng.switches <- eng.switches + 1;
     let tid = eng.strategy.Strategy.choose view in
     let th =
-      if tid >= 0 && tid < eng.n_threads && eng.threads.(tid).enabled_flag then
-        eng.threads.(tid)
+      if Strategy.is_enabled eng.view tid then eng.threads.(tid)
       else
         invariant_fail "strategy %s chose non-enabled tid %d"
           eng.strategy.Strategy.sname tid
@@ -726,10 +713,11 @@ let run ?(config = default_config) ?(listeners = []) ?btrace ~strategy
   Loc.reset_counter ();
   Lock.reset_counter ();
   let t0 = Unix.gettimeofday () in
+  let prng = Prng.create config.seed in
   let eng =
     {
       cfg = config;
-      prng = Prng.create config.seed;
+      prng;
       strategy;
       listeners;
       sink =
@@ -740,7 +728,7 @@ let run ?(config = default_config) ?(listeners = []) ?btrace ~strategy
       threads = [||];
       n_threads = 0;
       lock_states = [||];
-      enabled_count = 0;
+      view = Strategy.create_view prng;
       steps = 0;
       switches = 0;
       next_msg = 0;

@@ -7,40 +7,125 @@
     strategy keeps its postponed set this way; see {!Racefuzzer}).
 
     All randomness must be drawn from the view's PRNG, which the engine
-    seeds — this is what makes whole runs replayable from a seed. *)
+    seeds — this is what makes whole runs replayable from a seed.
+
+    The view is the engine's enabled set itself: a sorted array of the
+    enabled tids plus one row per tid, updated by the engine at every
+    enabledness transition, so presenting it costs nothing per
+    consultation. *)
 
 open Rf_util
 
-type entry = { tid : int; tname : string; pend : Op.pend }
+type entry = { tid : int; tname : string; mutable pend : Op.pend }
 
 type view = {
-  step : int;  (** executed-ops counter *)
-  enabled : entry list;  (** non-empty; insertion (tid) order *)
-  prng : Prng.t;
+  mutable vstep : int;
+  vprng : Prng.t;
+  mutable rows : entry array;  (* index = tid; first [n_rows] slots *)
+  mutable n_rows : int;
+  mutable on : Bytes.t;  (* index = tid; '\001' iff enabled *)
+  mutable sorted : int array;  (* enabled tids, ascending; first [n_on] *)
+  mutable n_on : int;
 }
+
+let count v = v.n_on
+let nth v i = v.rows.(v.sorted.(i))
+let step v = v.vstep
+let prng v = v.vprng
+
+let is_enabled v tid =
+  tid >= 0 && tid < v.n_rows && Bytes.unsafe_get v.on tid = '\001'
+
+let find v tid = if is_enabled v tid then Some v.rows.(tid) else None
+
+(* ------------------------------------------------------------------ *)
+(* Engine side                                                         *)
+
+let create_view prng =
+  {
+    vstep = 0;
+    vprng = prng;
+    rows = [||];
+    n_rows = 0;
+    on = Bytes.empty;
+    sorted = [||];
+    n_on = 0;
+  }
+
+let add_thread v ~name =
+  let tid = v.n_rows in
+  let row = { tid; tname = name; pend = Op.P_start } in
+  let cap = Array.length v.rows in
+  if tid = cap then begin
+    let cap' = max 8 (2 * cap) in
+    let rows = Array.make cap' row in
+    Array.blit v.rows 0 rows 0 cap;
+    v.rows <- rows;
+    let on = Bytes.make cap' '\000' in
+    Bytes.blit v.on 0 on 0 cap;
+    v.on <- on;
+    let sorted = Array.make cap' 0 in
+    Array.blit v.sorted 0 sorted 0 v.n_on;
+    v.sorted <- sorted
+  end;
+  v.rows.(tid) <- row;
+  v.n_rows <- tid + 1;
+  tid
+
+let row v tid = v.rows.(tid)
+let set_pend v tid pend = v.rows.(tid).pend <- pend
+let set_step v s = v.vstep <- s
+
+(* Index of the first enabled tid >= [tid] (binary search). *)
+let lower_bound v tid =
+  let lo = ref 0 and hi = ref v.n_on in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if v.sorted.(mid) < tid then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Forks append the largest tid, so the common insertion is a push; the
+   blits only move the tail past a thread that blocks or unblocks. *)
+let set_enabled v tid b =
+  if is_enabled v tid <> b then begin
+    let i = lower_bound v tid in
+    if b then begin
+      Array.blit v.sorted i v.sorted (i + 1) (v.n_on - i);
+      v.sorted.(i) <- tid;
+      v.n_on <- v.n_on + 1;
+      Bytes.unsafe_set v.on tid '\001'
+    end
+    else begin
+      Array.blit v.sorted (i + 1) v.sorted i (v.n_on - i - 1);
+      v.n_on <- v.n_on - 1;
+      Bytes.unsafe_set v.on tid '\000'
+    end
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Strategies                                                          *)
 
 type t = { sname : string; choose : view -> int }
 
 let name t = t.sname
 let make ~name choose = { sname = name; choose }
 
-let tids view = List.map (fun e -> e.tid) view.enabled
+(* The lowest enabled tid above [tid], wrapping to the lowest overall. *)
+let next_after v tid =
+  let i = lower_bound v (tid + 1) in
+  v.sorted.(if i < v.n_on then i else 0)
 
 (** Uniform random choice among enabled threads — the paper's "simple
     random scheduler" baseline (Table 1, column "Simple"). *)
 let random () =
-  make ~name:"random" (fun view -> (Prng.pick view.prng view.enabled).tid)
+  make ~name:"random" (fun v -> (nth v (Prng.int v.vprng v.n_on)).tid)
 
 (** Round-robin over tids: a fair, deterministic scheduler. *)
 let round_robin () =
   let last = ref (-1) in
-  make ~name:"round-robin" (fun view ->
-      let ts = tids view in
-      let next =
-        match List.find_opt (fun tid -> tid > !last) ts with
-        | Some tid -> tid
-        | None -> List.hd ts
-      in
+  make ~name:"round-robin" (fun v ->
+      let next = next_after v !last in
       last := next;
       next)
 
@@ -51,13 +136,12 @@ let round_robin () =
     interleavings almost never show up. *)
 let run_until_block () =
   let current = ref (-1) in
-  make ~name:"run-until-block" (fun view ->
-      match List.find_opt (fun e -> e.tid = !current) view.enabled with
-      | Some e -> e.tid
-      | None ->
-          let tid = (List.hd view.enabled).tid in
-          current := tid;
-          tid)
+  make ~name:"run-until-block" (fun v ->
+      if is_enabled v !current then !current
+      else begin
+        current := v.sorted.(0);
+        !current
+      end)
 
 (** Preemptive fair scheduler: run the current thread for up to [quantum]
     decisions, then rotate round-robin.  This is our model of the "default
@@ -67,19 +151,13 @@ let run_until_block () =
 let timesliced ?(quantum = 10) () =
   let current = ref (-1) in
   let used = ref 0 in
-  make ~name:"default" (fun view ->
-      let still_enabled = List.exists (fun e -> e.tid = !current) view.enabled in
-      if still_enabled && !used < quantum then begin
+  make ~name:"default" (fun v ->
+      if is_enabled v !current && !used < quantum then begin
         incr used;
         !current
       end
       else begin
-        let ts = tids view in
-        let next =
-          match List.find_opt (fun tid -> tid > !current) ts with
-          | Some tid -> tid
-          | None -> List.hd ts
-        in
+        let next = next_after v !current in
         current := next;
         used := 1;
         next

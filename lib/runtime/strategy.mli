@@ -4,26 +4,61 @@
     threads with their pending operations and the run's PRNG; the strategy
     answers with the tid to execute.  Implementations carry state in their
     closures (RaceFuzzer keeps its postponed set this way).  All randomness
-    must come from the view's PRNG to preserve seed-replayability. *)
+    must come from the view's PRNG to preserve seed-replayability.
+
+    {2 The view contract}
+
+    A {!view} is the engine's own enabled set, shown read-only: it is
+    {e valid only during the [choose] call} it is passed to.  The engine
+    mutates it as soon as the chosen thread executes, so a strategy must
+    not keep the view, or a row read from it, across consultations (keep
+    tids instead).
+
+    Rows come in ascending tid order: [nth v 0] is the lowest enabled tid
+    and [nth v (count v - 1)] the highest.  [Prng.int (prng v) (count v)]
+    followed by [nth] is therefore exactly the draw [Prng.pick] makes on
+    the ascending list of enabled rows, so a strategy ported from lists to
+    this view consumes the same PRNG stream and makes the same decisions.
+
+    Every accessor is O(1) except {!find} (O(1) membership, then a row
+    read) — no accessor walks the thread population or allocates. *)
 
 open Rf_util
 
-type entry = { tid : int; tname : string; pend : Op.pend }
-
-type view = {
-  step : int;  (** operations executed so far *)
-  enabled : entry list;  (** never empty; ascending tid order *)
-  prng : Prng.t;
+type entry = private {
+  tid : int;
+  tname : string;
+  mutable pend : Op.pend;  (** the operation the thread is parked at *)
 }
+(** One thread's row.  The engine owns it and updates [pend] in place
+    whenever the thread parks. *)
+
+type view
+
+val count : view -> int
+(** Enabled threads; never 0 inside [choose]. *)
+
+val nth : view -> int -> entry
+(** [nth v i] is the row of the [i]-th lowest enabled tid,
+    [0 <= i < count v]. *)
+
+val is_enabled : view -> int -> bool
+(** Any int is accepted; out-of-range tids are not enabled. *)
+
+val find : view -> int -> entry option
+(** The row of an enabled tid. *)
+
+val step : view -> int
+(** Operations executed so far. *)
+
+val prng : view -> Prng.t
 
 type t = { sname : string; choose : view -> int }
 
 val name : t -> string
 
 val make : name:string -> (view -> int) -> t
-(** [choose] must return the tid of some entry in [view.enabled]. *)
-
-val tids : view -> int list
+(** [choose] must return an enabled tid. *)
 
 val random : unit -> t
 (** Uniform choice among enabled threads — the paper's "simple random
@@ -40,3 +75,25 @@ val timesliced : ?quantum:int -> unit -> t
 (** Preemptive fair scheduling with a fixed quantum — our model of a JVM's
     default scheduler on a lightly loaded machine, under which the paper's
     Figure 2 window virtually never lines up. *)
+
+(** {2 Engine side}
+
+    The engine maintains the enabled set through these calls, at the
+    transitions that change it; strategies never call them. *)
+
+val create_view : Prng.t -> view
+(** An empty enabled set over no threads. *)
+
+val add_thread : view -> name:string -> int
+(** Registers the next tid (0, 1, 2, ...) with a [P_start] row, not yet
+    enabled, and returns it. *)
+
+val row : view -> int -> entry
+(** The row of any registered tid, enabled or not. *)
+
+val set_pend : view -> int -> Op.pend -> unit
+val set_enabled : view -> int -> bool -> unit
+(** Inserts or removes the tid in the sorted enabled set; a no-op when
+    the tid is already in the requested state. *)
+
+val set_step : view -> int -> unit
