@@ -20,7 +20,11 @@
 
    so the detection tax — sequential vs campaign throughput — is tracked
    PR-over-PR in both detection modes, and printed as the Markdown
-   detection-tax table EXPERIMENTS.md carries.  [--max-tax [W=]R] turns
+   detection-tax table EXPERIMENTS.md carries.  Thread-count scaling rows
+   (fork-heavy[c=50|200|800]: sequential, and algo-campaign = phase-2
+   Algo trials on the racing pair) are printed as a second table: with
+   scheduler consultations independent of the thread count, their steps/s
+   stay flat as the width grows.  [--max-tax [W=]R] turns
    workload W's ratio into a CI gate (repeatable; a bare R gates
    access-heavy): the bench fails if sequential/campaign-offline exceeds
    R.
@@ -93,10 +97,12 @@ let lock_heavy ~threads ~iters =
         List.iter Api.join hs);
   }
 
-let fork_heavy ~children ~iters =
-  let w = s "fh-write" in
+let fork_heavy_write = s "fh-write"
+
+let fork_heavy ?(bname = "fork-heavy") ~children ~iters () =
+  let w = fork_heavy_write in
   {
-    bname = "fork-heavy";
+    bname;
     program =
       (fun () ->
         let c = Api.Cell.make ~name:"sink" 0 in
@@ -123,14 +129,14 @@ let workloads ~smoke =
     [
       access_heavy ~threads:4 ~iters:200;
       lock_heavy ~threads:4 ~iters:60;
-      fork_heavy ~children:60 ~iters:4;
+      fork_heavy ~children:60 ~iters:4 ();
       serve_small;
     ]
   else
     [
       access_heavy ~threads:8 ~iters:20_000;
       lock_heavy ~threads:8 ~iters:4_000;
-      fork_heavy ~children:2_000 ~iters:8;
+      fork_heavy ~children:2_000 ~iters:8 ();
       serve_small;
     ]
 
@@ -253,6 +259,46 @@ let measure_campaign ?offline_detect ~domains ~trials (wl : bench_workload) =
       (if offline_detect = None then "campaign" else "campaign-offline");
     r_domains = domains;
     r_runs = stats.Rf_campaign.Campaign.s_trials;
+    r_steps = steps;
+    r_wall = wall;
+    r_steps_per_sec = per_sec steps wall;
+    r_peak_heap_words = peak;
+  }
+
+(* Thread-count scaling: the fork-heavy shape at growing widths, run
+   sequentially under [Strategy.random] and as a phase-2 campaign of
+   [Algo] trials on its racing pair (phase 1 is left out: detector cost
+   grows with the clock width, scheduler cost must not).  Per-step cost
+   that is independent of the thread count shows as flat steps/s down the
+   rows. *)
+let scaling_widths = [ 50; 200; 800 ]
+
+let scaling_workload children =
+  fork_heavy ~bname:(Printf.sprintf "fork-heavy[c=%d]" children) ~children
+    ~iters:8 ()
+
+let measure_algo_campaign ~trials (wl : bench_workload) =
+  let pair = Site.Pair.make fork_heavy_write fork_heavy_write in
+  let (steps, wall), peak =
+    with_peak_heap (fun () ->
+        let t0 = Unix.gettimeofday () in
+        let r =
+          Racefuzzer.Fuzzer.fuzz_pair ~seeds:(List.init trials Fun.id)
+            ~max_steps:50_000_000 ~program:wl.program pair
+        in
+        let steps =
+          List.fold_left
+            (fun acc (t : Racefuzzer.Fuzzer.trial) ->
+              acc + t.Racefuzzer.Fuzzer.t_outcome.Outcome.steps)
+            0 r.Racefuzzer.Fuzzer.trials
+        in
+        (steps, Unix.gettimeofday () -. t0))
+  in
+  {
+    r_workload = wl.bname;
+    r_harness = "algo-campaign";
+    r_domains = 1;
+    r_runs = trials;
     r_steps = steps;
     r_wall = wall;
     r_steps_per_sec = per_sec steps wall;
@@ -389,7 +435,7 @@ let compute_decision_fingerprints () =
     List.map
       (fun (w : W.Workload.t) -> (w.W.Workload.name, w.W.Workload.program))
       W.Registry.all
-    @ [ (let wl = fork_heavy ~children:60 ~iters:4 in (wl.bname, wl.program)) ]
+    @ [ (let wl = fork_heavy ~children:60 ~iters:4 () in (wl.bname, wl.program)) ]
     |> List.concat_map (fun (name, program) ->
            match first_candidate program with
            | None -> []
@@ -546,6 +592,20 @@ let print_tax_table rows =
          if List.mem r.r_workload acc then acc else acc @ [ r.r_workload ])
        [] rows)
 
+(* The scaling rows as their own table: one line per width. *)
+let print_scaling_table rows =
+  let cell workload harness =
+    match find_row rows workload harness with
+    | Some r -> Printf.sprintf "%.2fM" (r.r_steps_per_sec /. 1e6)
+    | None -> "—"
+  in
+  Fmt.pr "| children | sequential | algo-campaign |@.|---|---|---|@.";
+  List.iter
+    (fun c ->
+      let w = (scaling_workload c).bname in
+      Fmt.pr "| %d | %s | %s |@." c (cell w "sequential") (cell w "algo-campaign"))
+    scaling_widths
+
 (* [--max-tax [W=]R]: a bare ceiling gates access-heavy, the hottest Mem
    path, where the tax historically peaked at ~18x. *)
 let parse_max_tax arg =
@@ -622,6 +682,11 @@ let () =
             measure_campaign ~offline_detect:1 ~domains:!domains ~trials wl;
           ])
         wls
+      @ List.concat_map
+          (fun c ->
+            let wl = scaling_workload c in
+            [ measure_sequential ~min_wall wl; measure_algo_campaign ~trials wl ])
+          scaling_widths
     in
     Fmt.pr "%-18s %-19s %3s %8s %12s %10s %14s %13s@." "workload" "harness"
       "dom" "runs" "steps" "wall(s)" "steps/sec" "peak-heap-w";
@@ -634,7 +699,10 @@ let () =
     write_json ~path:!out ~mode:(if !smoke then "smoke" else "full") rows;
     Fmt.pr "wrote %s@." !out;
     Fmt.pr "@.detection-tax table:@.";
-    print_tax_table rows;
+    print_tax_table
+      (List.filter (fun r -> List.mem r.r_workload (List.map (fun w -> w.bname) wls)) rows);
+    Fmt.pr "@.thread-count scaling (steps/s):@.";
+    print_scaling_table rows;
     List.iter
       (fun (w, ceiling) ->
         match detection_tax rows w with

@@ -33,8 +33,8 @@ let nth v i = v.rows.(v.sorted.(i))
 let step v = v.vstep
 let prng v = v.vprng
 
-let is_enabled v tid =
-  tid >= 0 && tid < v.n_rows && Bytes.unsafe_get v.on tid = '\001'
+let[@inline] is_enabled v tid =
+  tid >= 0 && tid < v.n_rows && Bytes.get v.on tid = '\001'
 
 let find v tid = if is_enabled v tid then Some v.rows.(tid) else None
 
@@ -85,23 +85,37 @@ let lower_bound v tid =
   done;
   !lo
 
-(* Forks append the largest tid, so the common insertion is a push; the
-   blits only move the tail past a thread that blocks or unblocks. *)
-let set_enabled v tid b =
-  if is_enabled v tid <> b then begin
-    let i = lower_bound v tid in
-    if b then begin
-      Array.blit v.sorted i v.sorted (i + 1) (v.n_on - i);
-      v.sorted.(i) <- tid;
-      v.n_on <- v.n_on + 1;
-      Bytes.unsafe_set v.on tid '\001'
-    end
-    else begin
-      Array.blit v.sorted (i + 1) v.sorted i (v.n_on - i - 1);
-      v.n_on <- v.n_on - 1;
-      Bytes.unsafe_set v.on tid '\000'
-    end
+(* Insertion-sort steps over the sorted array: a flip moves only the
+   enabled entries above [tid], so the common cases — a fork appending
+   the largest tid, a lock contender among a few threads — touch one or a
+   few slots, with no search and no C call. *)
+let flip v tid b =
+  let a = v.sorted in
+  if b then begin
+    let j = ref v.n_on in
+    while !j > 0 && a.(!j - 1) > tid do
+      a.(!j) <- a.(!j - 1);
+      decr j
+    done;
+    a.(!j) <- tid;
+    v.n_on <- v.n_on + 1;
+    Bytes.set v.on tid '\001'
   end
+  else begin
+    (* shift every entry above [tid] down one slot, from the top *)
+    let j = ref (v.n_on - 1) in
+    let carry = ref a.(!j) in
+    while !carry <> tid do
+      let c = a.(!j - 1) in
+      a.(!j - 1) <- !carry;
+      carry := c;
+      decr j
+    done;
+    v.n_on <- v.n_on - 1;
+    Bytes.set v.on tid '\000'
+  end
+
+let[@inline] set_enabled v tid b = if is_enabled v tid <> b then flip v tid b
 
 (* ------------------------------------------------------------------ *)
 (* Strategies                                                          *)
