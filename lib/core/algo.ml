@@ -83,15 +83,6 @@ let conflicts (m : Op.mem) (m' : Op.mem) =
   Loc.equal m.Op.loc m'.Op.loc
   && (m.Op.access = Rf_events.Event.Write || m'.Op.access = Rf_events.Event.Write)
 
-(* Index of [tid] in the view's ascending enabled rows (binary search). *)
-let rank view tid =
-  let lo = ref 0 and hi = ref (Strategy.count view) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if (Strategy.nth view mid).Strategy.tid < tid then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
 (** Build the strategy for one run.
 
     [pair] is the RaceSet; [report] collects hits; [postpone_timeout]
@@ -177,7 +168,7 @@ let strategy ?(postpone_timeout = Some default_postpone_timeout) ~pair ~report (
   in
   (* The enabled row of a postponed thread. *)
   let postponed_row view tid =
-    let i = rank view tid in
+    let i = Strategy.rank view tid in
     if i < Strategy.count view && (Strategy.nth view i).Strategy.tid = tid then
       Strategy.nth view i
     else Fmt.invalid_arg "Algo: postponed thread t%d is not enabled" tid
@@ -189,7 +180,7 @@ let strategy ?(postpone_timeout = Some default_postpone_timeout) ~pair ~report (
     while
       !j < !p_count
       &&
-      let r = rank view !p_tid.(!j) in
+      let r = Strategy.rank view !p_tid.(!j) in
       r <= !c
     do
       incr c;

@@ -33,7 +33,7 @@
     {2 Hot-path data structures}
 
     Neither the per-step bookkeeping nor a scheduler consultation scans
-    the thread population; both cost the same with 4 threads or 4000:
+    the thread population or allocates per thread:
 
     - threads live in a growable array indexed by tid, so [thread] lookup
       (joins, notify targets) is one array read;
@@ -46,9 +46,10 @@
       engine overwrites in place when the thread parks.  That row is the
       only copy of a thread's pending-operation summary.  [set_enabled]
       is the single place enabledness changes, and it updates the sorted
-      array there (an append at fork, a binary search and a tail blit
-      elsewhere), so consulting the strategy only stamps the step counter
-      on the view — no walk over dead threads, no list, no allocation;
+      array there by insertion-sort steps that move only the enabled tids
+      above the flipped one (none for a fork, which appends the largest
+      tid), so consulting the strategy only stamps the step counter on the
+      view — no walk over dead threads, no list, no allocation;
     - enabledness is recomputed only at the transitions that can change
       it — fork, death, acquire/release, wait/notify, join, interrupt.
       Threads blocked acquiring a monitor are registered in that monitor's

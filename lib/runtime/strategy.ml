@@ -38,6 +38,15 @@ let[@inline] is_enabled v tid =
 
 let find v tid = if is_enabled v tid then Some v.rows.(tid) else None
 
+(* Binary search over the sorted enabled tids. *)
+let rank v tid =
+  let lo = ref 0 and hi = ref v.n_on in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if v.sorted.(mid) < tid then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
 (* ------------------------------------------------------------------ *)
 (* Engine side                                                         *)
 
@@ -75,15 +84,6 @@ let add_thread v ~name =
 let row v tid = v.rows.(tid)
 let set_pend v tid pend = v.rows.(tid).pend <- pend
 let set_step v s = v.vstep <- s
-
-(* Index of the first enabled tid >= [tid] (binary search). *)
-let lower_bound v tid =
-  let lo = ref 0 and hi = ref v.n_on in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if v.sorted.(mid) < tid then lo := mid + 1 else hi := mid
-  done;
-  !lo
 
 (* Insertion-sort steps over the sorted array: a flip moves only the
    enabled entries above [tid], so the common cases — a fork appending
@@ -127,7 +127,7 @@ let make ~name choose = { sname = name; choose }
 
 (* The lowest enabled tid above [tid], wrapping to the lowest overall. *)
 let next_after v tid =
-  let i = lower_bound v (tid + 1) in
+  let i = rank v (tid + 1) in
   v.sorted.(if i < v.n_on then i else 0)
 
 (** Uniform random choice among enabled threads — the paper's "simple

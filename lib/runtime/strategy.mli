@@ -20,8 +20,8 @@
     the ascending list of enabled rows, so a strategy ported from lists to
     this view consumes the same PRNG stream and makes the same decisions.
 
-    Every accessor is O(1) except {!find} (O(1) membership, then a row
-    read) — no accessor walks the thread population or allocates. *)
+    Every accessor is O(1) except {!rank} (O(log count)): none walks the
+    thread population, and none allocates except {!find}'s option. *)
 
 open Rf_util
 
@@ -47,6 +47,10 @@ val is_enabled : view -> int -> bool
 
 val find : view -> int -> entry option
 (** The row of an enabled tid. *)
+
+val rank : view -> int -> int
+(** [rank v tid] is the number of enabled tids below [tid]: the index at
+    which [nth] returns [tid]'s row when [tid] is enabled. *)
 
 val step : view -> int
 (** Operations executed so far. *)

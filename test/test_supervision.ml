@@ -322,8 +322,8 @@ let test_supervisor_gives_up_past_budget () =
 (* ------------------------------------------------------------------ *)
 (* Chaos campaigns                                                     *)
 
-let run_fig1 ?chaos ?supervision ?log ?resume () =
-  Campaign.run ~domains:2 ~cutoff:true ~phase1_seeds:(seeds 5)
+let run_fig1 ?(cutoff = true) ?chaos ?supervision ?log ?resume () =
+  Campaign.run ~domains:2 ~cutoff ~phase1_seeds:(seeds 5)
     ~seeds_per_pair:(seeds 20) ?chaos ?supervision ?log ?resume
     W.Figure1.program
 
@@ -347,6 +347,17 @@ let test_chaos_is_deterministic () =
   let a = run_fig1 ~chaos:(chaos ()) () and b = run_fig1 ~chaos:(chaos ()) () in
   Alcotest.(check string) "same chaos seed, same fingerprint"
     (fp a.Campaign.analysis) (fp b.Campaign.analysis);
+  (* The crash count also includes speculative trials that the second
+     domain happened to run past a pair's cutoff or quarantine bound, so
+     it is compared on campaigns with neither: every granted trial runs
+     exactly once. *)
+  let every_trial () =
+    run_fig1 ~cutoff:false
+      ~supervision:{ Supervisor.default_policy with Supervisor.quarantine_crashes = 0 }
+      ~chaos:(chaos ()) ()
+  in
+  let a = every_trial () and b = every_trial () in
+  Alcotest.(check bool) "crashes injected" true (a.Campaign.stats.Campaign.s_crashes > 0);
   Alcotest.(check int) "same crash count" a.Campaign.stats.Campaign.s_crashes
     b.Campaign.stats.Campaign.s_crashes
 
@@ -398,11 +409,15 @@ let test_kill_resume_matches_uninterrupted () =
     (fp full.Campaign.analysis) (fp resumed.Campaign.analysis)
 
 let test_resume_from_complete_journal_runs_nothing () =
+  (* Without cutoff: with it, a worker on the second domain may run a
+     speculative trial past a pair's resolution (later discarded) in
+     either run, so executed and replayed counts would depend on timing.
+     Resume under cutoff is pinned by the kill + resume fingerprint test. *)
   let journal = Filename.temp_file "journal" ".jsonl" in
   let log = Event_log.open_file journal in
-  let first = run_fig1 ~log () in
+  let first = run_fig1 ~cutoff:false ~log () in
   Event_log.close log;
-  let resumed = run_fig1 ~resume:journal () in
+  let resumed = run_fig1 ~cutoff:false ~resume:journal () in
   Sys.remove journal;
   Alcotest.(check int) "no trial re-executed" 0
     resumed.Campaign.stats.Campaign.s_trials;
