@@ -387,7 +387,6 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
   let executed_n = Atomic.make 0 in
   let replayed_n = Atomic.make 0 in
   let degraded_n = Atomic.make 0 in
-  let crashes_n = Atomic.make 0 in
   let worker_crashes_n = Atomic.make 0 in
   let worker_respawns_n = Atomic.make 0 in
   let worker_gave_up_n = Atomic.make 0 in
@@ -452,7 +451,6 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
           | None, Some k -> Some (k, List.length ps.ps_crash_idxs)
           | _ -> None)
     in
-    Atomic.incr crashes_n;
     Event_log.emit log
       (Event_log.Trial_crashed
          { pair = ps.ps_label; seed; domain = d; exn_ = exn_str; backtrace });
@@ -468,12 +466,11 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       (Event_log.Trial_exhausted
          { pair = ps.ps_label; seed; domain = d; reason; steps; wall })
   in
-  (* Skip-check and journal-replay, shared verbatim by the in-process
-     worker loop (which applies them at pop time) and the multi-process
-     dispatcher (which applies them at dispatch time).  Both placements
-     are sound by the same argument: the skip bound only ever shrinks, so
-     anything skipped under an early bound would also be truncated by the
-     final one. *)
+  (* Skip-check, shared verbatim by the in-process worker loop (which
+     applies it at pop time) and the multi-process dispatcher (which
+     applies it at dispatch time).  Both placements are sound by the same
+     argument: the skip bound only ever shrinks, so anything skipped under
+     an early bound would also be truncated by the final one. *)
   let check_skip ps idx =
     Mutex.protect mutex (fun () ->
         match skip_bound ~cutoff ~qn ps with
@@ -484,6 +481,12 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
             true
         | _ -> false)
   in
+  (* Journal replay.  A resumed wave replays every journaled task first,
+     in task order on the calling domain, and only then executes the
+     rest (see the wave loop): so a resumed wave records exactly the
+     trials the interrupted run recorded — speculative ones past a bound
+     included — before any bound decides a skip, and never re-executes a
+     trial the interrupted run skipped. *)
   let try_resume d ps idx seed =
     match Hashtbl.find_opt resume_tbl (ps.ps_label, seed) with
     | Some (R_finished r) ->
@@ -506,63 +509,60 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
         true
     | None -> false
   in
-  (* One task: skip-check, then replay from the journal or execute inside
-     the sandbox.  Nothing a trial does can escape this function. *)
+  (* One task: skip-check, then execute inside the sandbox.  Nothing a
+     trial does can escape this function. *)
   let process d (idx, p) =
     let ps = states.(p) in
     if not (check_skip ps idx) then begin
       let seed = seed_of idx in
-      if not (try_resume d ps idx seed) then begin
-          Event_log.emit log
-            (Event_log.Trial_started { pair = ps.ps_label; seed; domain = d });
-          let tripped =
-            match chaos with
-            | Some plan -> Chaos.trips_budget plan ~label:ps.ps_label ~seed
-            | None -> false
-          in
-          let governor = governor_for ~tripped in
-          let deadline = make_deadline governor in
-          let chaos_inject =
-            match chaos with
-            | Some plan -> Chaos.inject plan ~label:ps.ps_label ~seed
-            | None -> ignore
-          in
-          (* The injected trip runs inside the sandbox so that, under
-             [no_degrade], the resulting [Budget_stop] is converted to a
-             Budget_exhausted result rather than killing the worker. *)
-          let inject =
-            match governor with
-            | Some g when tripped ->
-                fun () ->
-                  chaos_inject ();
-                  Governor.trip g Governor.Injected
-            | _ -> chaos_inject
-          in
-          let w0 = Unix.gettimeofday () in
-          let res =
-            Fuzzer.run_trial ?postpone_timeout ?deadline ?governor ~inject
-              ~max_steps ~program ps.ps_pair seed
-          in
-          let wall = Unix.gettimeofday () -. w0 in
-          domain_trials.(d) <- domain_trials.(d) + 1;
-          domain_busy.(d) <- domain_busy.(d) +. wall;
-          let n = Atomic.fetch_and_add executed_n 1 + 1 in
-          (match chaos with
-          | Some { Chaos.c_stop_after = Some m; _ } when n >= m ->
-              request_stop stop
-          | _ -> ());
-          (match res with
-          | Fuzzer.Completed tr -> record_trial d ps idx seed tr
-          | Fuzzer.Harness_crash (e, bt) ->
-              record_crash d ps idx seed (Printexc.to_string e) bt
-          | Fuzzer.Budget_exhausted { bx_reason; bx_steps; bx_wall; _ } ->
-              record_exhausted d ps idx seed (reason_string bx_reason) bx_steps
-                bx_wall)
-      end
+      Event_log.emit log
+        (Event_log.Trial_started { pair = ps.ps_label; seed; domain = d });
+      let tripped =
+        match chaos with
+        | Some plan -> Chaos.trips_budget plan ~label:ps.ps_label ~seed
+        | None -> false
+      in
+      let governor = governor_for ~tripped in
+      let deadline = make_deadline governor in
+      let chaos_inject =
+        match chaos with
+        | Some plan -> Chaos.inject plan ~label:ps.ps_label ~seed
+        | None -> ignore
+      in
+      (* The injected trip runs inside the sandbox so that, under
+         [no_degrade], the resulting [Budget_stop] is converted to a
+         Budget_exhausted result rather than killing the worker. *)
+      let inject =
+        match governor with
+        | Some g when tripped ->
+            fun () ->
+              chaos_inject ();
+              Governor.trip g Governor.Injected
+        | _ -> chaos_inject
+      in
+      let w0 = Unix.gettimeofday () in
+      let res =
+        Fuzzer.run_trial ?postpone_timeout ?deadline ?governor ~inject
+          ~max_steps ~program ps.ps_pair seed
+      in
+      let wall = Unix.gettimeofday () -. w0 in
+      domain_trials.(d) <- domain_trials.(d) + 1;
+      domain_busy.(d) <- domain_busy.(d) +. wall;
+      let n = Atomic.fetch_and_add executed_n 1 + 1 in
+      (match chaos with
+      | Some { Chaos.c_stop_after = Some m; _ } when n >= m ->
+          request_stop stop
+      | _ -> ());
+      (match res with
+      | Fuzzer.Completed tr -> record_trial d ps idx seed tr
+      | Fuzzer.Harness_crash (e, bt) ->
+          record_crash d ps idx seed (Printexc.to_string e) bt
+      | Fuzzer.Budget_exhausted { bx_reason; bx_steps; bx_wall; _ } ->
+          record_exhausted d ps idx seed (reason_string bx_reason) bx_steps
+            bx_wall)
     end
   in
-  let run_wave wave tasks =
-    Event_log.emit log (Event_log.Wave_started { wave; tasks = List.length tasks });
+  let run_wave tasks =
     let queue = Work_queue.create tasks in
     let n = max 1 (min ndomains (List.length tasks)) in
     let inflight = Array.make n None in
@@ -618,20 +618,18 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
         !interrupted_remaining + List.length (Work_queue.drain queue)
   in
   (* ---------------------------------------------------------------- *)
-  (* Multi-process wave driver.  Skip-checks and journal replays happen
-     at dispatch time (see [check_skip]); only real executions ship to a
-     worker process.  The assignment counter is campaign-global and
+  (* Multi-process wave driver.  Skip-checks happen at dispatch time (see
+     [check_skip]); only real executions ship to a worker process.  The assignment counter is campaign-global and
      1-based — chaos process faults ([c_kill_assignment] etc.) key on it,
      and a requeued task gets a fresh number, so a fault fires once
      rather than chasing its own retry forever. *)
   let assign_ctr = ref 0 in
   let proc_inflight : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  let run_wave_proc pool wave tasks =
-    Event_log.emit log (Event_log.Wave_started { wave; tasks = List.length tasks });
+  let run_wave_proc pool tasks =
     let pending = Queue.create () in
     List.iter (fun t -> Queue.add t pending) tasks;
-    (* Pop until a task actually ships: skipped and replayed tasks are
-       satisfied supervisor-side and consume no worker. *)
+    (* Pop until a task actually ships: skipped tasks are settled
+       supervisor-side and consume no worker. *)
     let rec dispatch worker =
       match Queue.take_opt pending with
       | None -> ()
@@ -640,63 +638,60 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
           if check_skip ps idx then dispatch worker
           else begin
             let seed = seed_of idx in
-            if try_resume worker ps idx seed then dispatch worker
-            else begin
-              incr assign_ctr;
-              let id = !assign_ctr in
-              let die =
-                (match chaos_state with
-                | Some (plan, st) -> Chaos.kills_worker plan st
-                | None -> false)
-                ||
-                match chaos with
-                | Some { Chaos.c_kill_assignment = Some n; _ } -> n = id
-                | _ -> false
-              in
-              let at n = match n with Some n -> n = id | None -> false in
-              let torn =
-                match chaos with
-                | Some pl -> at pl.Chaos.c_torn_frame
-                | None -> false
-              in
-              let hang =
-                match chaos with
-                | Some pl -> at pl.Chaos.c_hang_assignment
-                | None -> false
-              in
-              let crash =
-                match chaos with
-                | Some pl -> Chaos.crashes pl ~label:ps.ps_label ~seed
-                | None -> false
-              in
-              let stall =
-                match chaos with
-                | Some pl when Chaos.stalls pl ~label:ps.ps_label ~seed ->
-                    pl.Chaos.c_stall_seconds
-                | _ -> 0.0
-              in
-              let tripped =
-                match chaos with
-                | Some pl -> Chaos.trips_budget pl ~label:ps.ps_label ~seed
-                | None -> false
-              in
-              Event_log.emit log
-                (Event_log.Trial_started
-                   { pair = ps.ps_label; seed; domain = worker });
-              Hashtbl.replace proc_inflight id (idx, p);
-              Proc_pool.assign pool ~worker
-                {
-                  Proc_pool.a_id = id;
-                  a_pair = ps.ps_pair;
-                  a_seed = seed;
-                  a_crash = crash;
-                  a_stall = stall;
-                  a_tripped = tripped;
-                  a_die = die;
-                  a_torn = torn;
-                  a_hang = hang;
-                }
-            end
+            incr assign_ctr;
+            let id = !assign_ctr in
+            let die =
+              (match chaos_state with
+              | Some (plan, st) -> Chaos.kills_worker plan st
+              | None -> false)
+              ||
+              match chaos with
+              | Some { Chaos.c_kill_assignment = Some n; _ } -> n = id
+              | _ -> false
+            in
+            let at n = match n with Some n -> n = id | None -> false in
+            let torn =
+              match chaos with
+              | Some pl -> at pl.Chaos.c_torn_frame
+              | None -> false
+            in
+            let hang =
+              match chaos with
+              | Some pl -> at pl.Chaos.c_hang_assignment
+              | None -> false
+            in
+            let crash =
+              match chaos with
+              | Some pl -> Chaos.crashes pl ~label:ps.ps_label ~seed
+              | None -> false
+            in
+            let stall =
+              match chaos with
+              | Some pl when Chaos.stalls pl ~label:ps.ps_label ~seed ->
+                  pl.Chaos.c_stall_seconds
+              | _ -> 0.0
+            in
+            let tripped =
+              match chaos with
+              | Some pl -> Chaos.trips_budget pl ~label:ps.ps_label ~seed
+              | None -> false
+            in
+            Event_log.emit log
+              (Event_log.Trial_started
+                 { pair = ps.ps_label; seed; domain = worker });
+            Hashtbl.replace proc_inflight id (idx, p);
+            Proc_pool.assign pool ~worker
+              {
+                Proc_pool.a_id = id;
+                a_pair = ps.ps_pair;
+                a_seed = seed;
+                a_crash = crash;
+                a_stall = stall;
+                a_tripped = tripped;
+                a_die = die;
+                a_torn = torn;
+                a_hang = hang;
+              }
           end
     in
     let handle_event = function
@@ -840,9 +835,18 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
         !tasks
     in
     if tasks <> [] then begin
+      Event_log.emit log
+        (Event_log.Wave_started { wave = !waves; tasks = List.length tasks });
+      let tasks =
+        if Hashtbl.length resume_tbl = 0 then tasks
+        else
+          List.filter
+            (fun (idx, p) -> not (try_resume 0 states.(p) idx (seed_of idx)))
+            tasks
+      in
       (match ppool with
-      | Some pool -> run_wave_proc pool !waves tasks
-      | None -> run_wave !waves tasks);
+      | Some pool -> run_wave_proc pool tasks
+      | None -> run_wave tasks);
       incr waves
     end;
     if stop_requested stop then continue_ := false
@@ -907,6 +911,11 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
   (* Deterministic aggregation: truncate each pair at its skip bound
      (cutoff resolution and/or quarantine), discarding speculative trials
      run past it.                                                       *)
+  let upto ps =
+    match skip_bound ~cutoff ~qn ps with
+    | Some k -> min (k + 1) ps.ps_granted
+    | None -> ps.ps_granted
+  in
   let discarded = ref 0 in
   let results =
     Array.to_list
@@ -915,11 +924,7 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
            if ps.ps_cancelled > 0 then
              Event_log.emit log
                (Event_log.Trials_cancelled { pair = ps.ps_label; count = ps.ps_cancelled });
-           let upto =
-             match skip_bound ~cutoff ~qn ps with
-             | Some k -> min (k + 1) ps.ps_granted
-             | None -> ps.ps_granted
-           in
+           let upto = upto ps in
            let kept = ref [] in
            for idx = ps.ps_granted - 1 downto 0 do
              match ps.ps_slots.(idx) with
@@ -954,7 +959,14 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       s_domain_trials = domain_trials;
       s_domain_busy = domain_busy;
       s_exhausted = Array.fold_left (fun acc ps -> acc + ps.ps_exhausted) 0 states;
-      s_crashes = Atomic.get crashes_n;
+      s_crashes =
+        Array.fold_left
+          (fun acc ps ->
+            let upto = upto ps in
+            List.fold_left
+              (fun acc idx -> if idx < upto then acc + 1 else acc)
+              acc ps.ps_crash_idxs)
+          0 states;
       s_quarantined =
         Array.fold_left
           (fun acc ps -> if quarantine_bound ~qn ps <> None then acc + 1 else acc)

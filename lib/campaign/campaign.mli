@@ -81,7 +81,11 @@ type stats = {
   s_domain_trials : int array;  (** trials executed per domain *)
   s_domain_busy : float array;  (** busy seconds per domain *)
   s_exhausted : int;  (** trials cancelled by the per-trial watchdog *)
-  s_crashes : int;  (** sandboxed harness crashes (incl. injected chaos) *)
+  s_crashes : int;
+      (** sandboxed harness crashes (incl. injected chaos) up to each
+          pair's skip bound; like [s_discarded] trials, a crash of a
+          speculative trial past the bound is not counted, so the count
+          does not depend on worker timing *)
   s_quarantined : int;  (** pairs quarantined for repeated crashes *)
   s_q_skipped : int;  (** trials skipped past a quarantine bound *)
   s_replayed : int;  (** trials satisfied from the resume journal *)

@@ -75,6 +75,46 @@ let hits r = List.rev r.hits
 (** Default bound (in scheduler steps) a thread may stay postponed. *)
 let default_postpone_timeout = 2_000
 
+(* ------------------------------------------------------------------ *)
+(* Postponement tables (Atom_fuzzer, Deadlock_fuzzer)                  *)
+
+let expire_postponed ~postpone_timeout postponed step =
+  match postpone_timeout with
+  | None -> ()
+  | Some bound ->
+      (* sorted so release order never depends on hash-table internals *)
+      Hashtbl.fold
+        (fun tid since acc -> if step - since > bound then tid :: acc else acc)
+        postponed []
+      |> List.sort compare
+      |> List.iter (Hashtbl.remove postponed)
+
+type table_pick = Available of Strategy.entry | Evicted of Strategy.entry
+
+let pick_unpostponed view postponed =
+  let prng = Strategy.prng view and n = Strategy.count view in
+  (* only the enabled postponed threads count against the enabled set *)
+  let held =
+    Hashtbl.fold
+      (fun tid _ acc -> if Strategy.is_enabled view tid then acc + 1 else acc)
+      postponed 0
+  in
+  if held = n then begin
+    let v = Strategy.nth view (Prng.int prng n) in
+    Hashtbl.remove postponed v.Strategy.tid;
+    Evicted v
+  end
+  else begin
+    (* the k-th enabled thread, in tid order, that is not postponed *)
+    let rec kth i k =
+      let e = Strategy.nth view i in
+      if Hashtbl.mem postponed e.Strategy.tid then kth (i + 1) k
+      else if k = 0 then e
+      else kth (i + 1) (k - 1)
+    in
+    Available (kth 0 (Prng.int prng (n - held)))
+  end
+
 (** [conflicts m m'] — the per-thread test of [Racing] (Algorithm 2):
     same dynamic location, at least one write.  Postponed threads are
     always parked at a [RaceSet] memory operation, so no site check is
@@ -106,9 +146,6 @@ let strategy ?(postpone_timeout = Some default_postpone_timeout) ~pair ~report (
   let p_tid = ref (Array.make 8 0) in
   let p_since = ref (Array.make 8 0) in
   let p_count = ref 0 in
-  (* a lower bound on every [p_since]: while even it cannot have timed
-     out, the timeout sweep is skipped *)
-  let p_oldest = ref 0 in
   (* index of [tid] in [p_tid], or [-1 - insertion point] *)
   let p_index tid =
     let lo = ref 0 and hi = ref !p_count in
@@ -119,7 +156,6 @@ let strategy ?(postpone_timeout = Some default_postpone_timeout) ~pair ~report (
     if !lo < !p_count && !p_tid.(!lo) = tid then !lo else -1 - !lo
   in
   let postpone tid step =
-    if !p_count = 0 || step < !p_oldest then p_oldest := step;
     let j = p_index tid in
     if j >= 0 then !p_since.(j) <- step
     else begin
@@ -149,9 +185,9 @@ let strategy ?(postpone_timeout = Some default_postpone_timeout) ~pair ~report (
     end
   in
   (* Livelock relief: free the threads postponed for too long, in tid
-     order, and tighten [p_oldest] to the survivors' minimum. *)
+     order. *)
   let sweep bound step =
-    let kept = ref 0 and oldest = ref step in
+    let kept = ref 0 in
     for j = 0 to !p_count - 1 do
       let since = !p_since.(j) in
       if step - since > bound then
@@ -159,12 +195,10 @@ let strategy ?(postpone_timeout = Some default_postpone_timeout) ~pair ~report (
       else begin
         !p_tid.(!kept) <- !p_tid.(j);
         !p_since.(!kept) <- since;
-        incr kept;
-        if since < !oldest then oldest := since
+        incr kept
       end
     done;
-    p_count := !kept;
-    p_oldest := !oldest
+    p_count := !kept
   in
   (* The enabled row of a postponed thread. *)
   let postponed_row view tid =
@@ -211,7 +245,7 @@ let strategy ?(postpone_timeout = Some default_postpone_timeout) ~pair ~report (
   let choose (view : Strategy.view) =
     let step = Strategy.step view and prng = Strategy.prng view in
     (match postpone_timeout with
-    | Some bound when !p_count > 0 && step - !p_oldest > bound -> sweep bound step
+    | Some bound when !p_count > 0 -> sweep bound step
     | _ -> ());
     (* Serve the must-run queue first (Algorithm 1 line 16: execute all
        threads of R). *)

@@ -50,6 +50,31 @@ val hits : report -> hit list
 
 val default_postpone_timeout : int
 
+(** {2 Postponement tables}
+
+    [Atom_fuzzer] and [Deadlock_fuzzer] keep their postponed threads in a
+    table [tid -> step postponed at] and park them at an [Acquire], which
+    another thread can take meanwhile: unlike in {!strategy}, a postponed
+    thread may be disabled.  These two calls are their shared scheduling
+    step. *)
+
+val expire_postponed :
+  postpone_timeout:int option -> (int, int) Hashtbl.t -> int -> unit
+(** [expire_postponed ~postpone_timeout table step] releases, in tid
+    order, every thread postponed for more than the timeout. *)
+
+type table_pick =
+  | Available of Strategy.entry
+      (** a uniform draw among the enabled threads not in the table *)
+  | Evicted of Strategy.entry
+      (** every enabled thread is postponed: a uniform draw among them,
+          already removed from the table *)
+
+val pick_unpostponed : Strategy.view -> (int, int) Hashtbl.t -> table_pick
+(** One [Prng.int] from the view's PRNG either way — the draw
+    [Prng.pick] makes on the list of available (or, when there is none,
+    of postponed) enabled threads in tid order. *)
+
 val strategy :
   ?postpone_timeout:int option ->
   pair:Site.Pair.t ->

@@ -50,16 +50,8 @@ let strategy ?(postpone_timeout = Some Algo.default_postpone_timeout)
     | None -> false
   in
   let choose (view : Strategy.view) =
-    let step = Strategy.step view and prng = Strategy.prng view in
-    (match postpone_timeout with
-    | None -> ()
-    | Some bound ->
-        (* sorted so release order never depends on hash-table internals *)
-        Hashtbl.fold
-          (fun tid since acc -> if step - since > bound then tid :: acc else acc)
-          postponed []
-        |> List.sort compare
-        |> List.iter (Hashtbl.remove postponed));
+    let step = Strategy.step view in
+    Algo.expire_postponed ~postpone_timeout postponed step;
     let record_hit () =
       report.ahits <- { ah_candidate = candidate; ah_step = step } :: report.ahits
     in
@@ -70,58 +62,43 @@ let strategy ?(postpone_timeout = Some Algo.default_postpone_timeout)
     let rec pick_loop () =
       (* A transaction thread is postponed at an acquire, which another
          thread can take meanwhile: postponed threads may be disabled, so
-         only the enabled ones count against the enabled set. *)
-      let held =
-        Hashtbl.fold
-          (fun tid _ acc -> if Strategy.is_enabled view tid then acc + 1 else acc)
-          postponed 0
-      in
-      let n = Strategy.count view in
-      if held = n then begin
-        (* every enabled thread is postponed: release a random one *)
-        let v = Strategy.nth view (Prng.int prng n) in
-        Hashtbl.remove postponed v.Strategy.tid;
-        report.aevictions <- report.aevictions + 1;
-        v.Strategy.tid
-      end
-      else begin
-        (* the k-th enabled thread, in tid order, that is not postponed *)
-        let rec kth i k =
-          let e = Strategy.nth view i in
-          if Hashtbl.mem postponed e.Strategy.tid then kth (i + 1) k
-          else if k = 0 then e
-          else kth (i + 1) (k - 1)
-        in
-        let e = kth 0 (Prng.int prng (n - held)) in
-        let someone_parked_in_gap =
-          Hashtbl.fold (fun tid _ acc -> acc || tid <> e.Strategy.tid) postponed false
-        in
-        if is_interfering_write e && someone_parked_in_gap then begin
-          (* a transaction thread stands between its two sections and the
-             conflicting write is about to land in the gap: violation *)
-          record_hit ();
-          e.Strategy.tid
-        end
-        else if is_second_acquire e then begin
-          (* the lowest-tid enabled interfering write, if any *)
-          let rec interferer i =
-            if i = n then None
-            else
-              let x = Strategy.nth view i in
-              if is_interfering_write x then Some x else interferer (i + 1)
+         [pick_unpostponed] counts only the enabled ones. *)
+      match Algo.pick_unpostponed view postponed with
+      | Algo.Evicted v ->
+          report.aevictions <- report.aevictions + 1;
+          v.Strategy.tid
+      | Algo.Available e ->
+          let someone_parked_in_gap =
+            Hashtbl.fold
+              (fun tid _ acc -> acc || tid <> e.Strategy.tid)
+              postponed false
           in
-          match interferer 0 with
-          | Some x when x.Strategy.tid <> e.Strategy.tid ->
-              record_hit ();
-              postpone e.Strategy.tid;
-              x.Strategy.tid
-          | _ ->
-              (* hold the transaction open, wait for the interferer *)
-              postpone e.Strategy.tid;
-              pick_loop ()
-        end
-        else e.Strategy.tid
-      end
+          if is_interfering_write e && someone_parked_in_gap then begin
+            (* a transaction thread stands between its two sections and the
+               conflicting write is about to land in the gap: violation *)
+            record_hit ();
+            e.Strategy.tid
+          end
+          else if is_second_acquire e then begin
+            (* the lowest-tid enabled interfering write, if any *)
+            let n = Strategy.count view in
+            let rec interferer i =
+              if i = n then None
+              else
+                let x = Strategy.nth view i in
+                if is_interfering_write x then Some x else interferer (i + 1)
+            in
+            match interferer 0 with
+            | Some x when x.Strategy.tid <> e.Strategy.tid ->
+                record_hit ();
+                postpone e.Strategy.tid;
+                x.Strategy.tid
+            | _ ->
+                (* hold the transaction open, wait for the interferer *)
+                postpone e.Strategy.tid;
+                pick_loop ()
+          end
+          else e.Strategy.tid
     in
     pick_loop ()
   in

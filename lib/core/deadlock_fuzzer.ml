@@ -29,52 +29,26 @@ let strategy ?(postpone_timeout = Some Algo.default_postpone_timeout) ~sites
     | _ -> false
   in
   let choose (view : Strategy.view) =
-    let step = Strategy.step view and prng = Strategy.prng view in
-    (match postpone_timeout with
-    | None -> ()
-    | Some bound ->
-        (* sorted so release order never depends on hash-table internals *)
-        Hashtbl.fold
-          (fun tid since acc -> if step - since > bound then tid :: acc else acc)
-          postponed []
-        |> List.sort compare
-        |> List.iter (Hashtbl.remove postponed));
+    let step = Strategy.step view in
+    Algo.expire_postponed ~postpone_timeout postponed step;
     let rec pick_loop () =
       (* A thread postponed at its inner acquire can lose that lock's race
-         and become disabled, so only the enabled postponed threads count
-         against the enabled set. *)
-      let held =
-        Hashtbl.fold
-          (fun tid _ acc -> if Strategy.is_enabled view tid then acc + 1 else acc)
-          postponed 0
-      in
-      let n = Strategy.count view in
-      if held = n then begin
-        (* every enabled thread is postponed: release a random one *)
-        let v = Strategy.nth view (Prng.int prng n) in
-        Hashtbl.remove postponed v.Strategy.tid;
-        report.evictions <- report.evictions + 1;
-        v.Strategy.tid
-      end
-      else begin
-        (* the k-th enabled thread, in tid order, that is not postponed *)
-        let rec kth i k =
-          let e = Strategy.nth view i in
-          if Hashtbl.mem postponed e.Strategy.tid then kth (i + 1) k
-          else if k = 0 then e
-          else kth (i + 1) (k - 1)
-        in
-        let e = kth 0 (Prng.int prng (n - held)) in
-        if target_site e.Strategy.pend then begin
-          (* Hold this thread at the inner acquire; if a partner thread
-             then takes the other lock of the cycle, both end up blocked
-             and the engine reports the real deadlock. *)
-          Hashtbl.replace postponed e.Strategy.tid step;
-          report.postponed_total <- report.postponed_total + 1;
-          pick_loop ()
-        end
-        else e.Strategy.tid
-      end
+         and become disabled: [pick_unpostponed] counts only the enabled
+         postponed threads against the enabled set. *)
+      match Algo.pick_unpostponed view postponed with
+      | Algo.Evicted v ->
+          report.evictions <- report.evictions + 1;
+          v.Strategy.tid
+      | Algo.Available e ->
+          if target_site e.Strategy.pend then begin
+            (* Hold this thread at the inner acquire; if a partner thread
+               then takes the other lock of the cycle, both end up blocked
+               and the engine reports the real deadlock. *)
+            Hashtbl.replace postponed e.Strategy.tid step;
+            report.postponed_total <- report.postponed_total + 1;
+            pick_loop ()
+          end
+          else e.Strategy.tid
     in
     pick_loop ()
   in

@@ -41,15 +41,18 @@
     - each thread caches its lockset ({!Lockset.t} is a persistent set, so
       the cached value is shared into emitted [Mem] events without
       copying), updated only at outermost acquire / innermost release;
-    - the enabled set is the strategy view itself ({!Strategy.view}): a
-      sorted array of enabled tids plus one row per tid, whose [pend] the
-      engine overwrites in place when the thread parks.  That row is the
-      only copy of a thread's pending-operation summary.  [set_enabled]
-      is the single place enabledness changes, and it updates the sorted
-      array there by insertion-sort steps that move only the enabled tids
-      above the flipped one (none for a fork, which appends the largest
-      tid), so consulting the strategy only stamps the step counter on the
-      view — no walk over dead threads, no list, no allocation;
+    - the enabled set ({!Enabled_set}) is a sorted array of enabled tids
+      plus one row per tid, whose [pend] the engine overwrites in place
+      when the thread parks.  That row is the only copy of a thread's
+      pending-operation summary.  [set_enabled] is the single place
+      enabledness changes, and it updates the sorted array there by
+      insertion-sort steps that move only the enabled tids above the
+      flipped one (none for a fork, which appends the largest tid); a
+      lock hand-off or a death, which re-evaluates every waiter, fixes
+      the array up once for the whole batch.  The strategy reads the
+      same value through the read-only {!Strategy.view}, so consulting
+      it only stamps the step counter — no walk over dead threads, no
+      list, no allocation;
     - enabledness is recomputed only at the transitions that can change
       it — fork, death, acquire/release, wait/notify, join, interrupt.
       Threads blocked acquiring a monitor are registered in that monitor's
@@ -152,7 +155,8 @@ type t = {
   mutable threads : thread array;  (* index = tid; first n_threads slots *)
   mutable n_threads : int;
   mutable lock_states : lock_state option array;  (* index = lock id *)
-  view : Strategy.view;  (* the enabled set and every thread's row *)
+  enabled : Enabled_set.t;  (* the enabled set and every thread's row *)
+  view : Strategy.view;  (* [enabled], as strategies see it *)
   mutable steps : int;
   mutable switches : int;
   mutable next_msg : int;
@@ -266,9 +270,17 @@ let alive th = not (is_dead th)
 
    [compute_enabled] is the paper's predicate; it is evaluated only at the
    transitions that can change a thread's answer, and the result is kept
-   in the strategy view's sorted enabled set for the scheduler loop.     *)
+   in [Enabled_set] for the scheduler loop.                              *)
 
-let set_enabled eng th v = Strategy.set_enabled eng.view th.tid v
+(* Membership is read from the set's fields inline: most [set_enabled]
+   calls (one per park) find the thread already in the requested state,
+   and only a real transition pays for the call that flips it. *)
+let[@inline] is_enabled eng tid =
+  let s = eng.enabled in
+  tid >= 0 && tid < s.Enabled_set.n_rows && Bytes.get s.Enabled_set.on tid = '\001'
+
+let set_enabled eng th v =
+  if is_enabled eng th.tid <> v then Enabled_set.set_enabled eng.enabled th.tid v
 
 let compute_enabled eng th =
   match th.fiber with
@@ -287,10 +299,14 @@ let compute_enabled eng th =
 
 let refresh_enabled eng th = set_enabled eng th (compute_enabled eng th)
 
+(* Re-evaluate a batch of parked threads at once. *)
+let refresh_each eng tids =
+  Enabled_set.set_enabled_each eng.enabled tids (fun tid ->
+      compute_enabled eng (thread eng tid))
+
 (* Re-evaluate every thread parked acquiring this monitor; called whenever
    its holder changes. *)
-let sweep_contenders eng ls =
-  List.iter (fun tid -> refresh_enabled eng (thread eng tid)) ls.contenders
+let sweep_contenders eng ls = refresh_each eng ls.contenders
 
 let remove_contender ls tid =
   ls.contenders <- List.filter (fun t -> t <> tid) ls.contenders
@@ -314,7 +330,7 @@ let on_park eng th (type a) (op : a Op.t) =
   | _ -> set_enabled eng th true
 
 let new_thread eng ~name body =
-  let tid = Strategy.add_thread eng.view ~name in
+  let tid = Enabled_set.add_thread eng.enabled ~name in
   let th =
     {
       tid;
@@ -378,7 +394,7 @@ let on_thread_done eng th (failure : exn option) =
         :: eng.exceptions);
   set_enabled eng th false;
   (* Wake the joiners (fiber is settled dead at this point). *)
-  List.iter (fun tid -> refresh_enabled eng (thread eng tid)) th.joiners;
+  refresh_each eng th.joiners;
   th.joiners <- []
 
 (* ------------------------------------------------------------------ *)
@@ -398,7 +414,7 @@ let handler eng th =
             Some
               (fun (k : (a, _) Effect.Deep.continuation) ->
                 th.fiber <- Pending (op, k);
-                Strategy.set_pend eng.view th.tid (Op.pend_of op);
+                Enabled_set.set_pend eng.enabled th.tid (Op.pend_of op);
                 on_park eng th op)
         | _ -> None);
   }
@@ -431,7 +447,7 @@ let flush_rcv eng th =
 
 let record_site eng th =
   (* The view row's [pend] mirrors the parked op, so no pend is rebuilt. *)
-  match Op.pend_site (Strategy.row eng.view th.tid).Strategy.pend with
+  match Op.pend_site eng.enabled.Enabled_set.rows.(th.tid).Enabled_set.pend with
   | Some _ as s -> th.last_site <- s
   | None -> ()
 
@@ -563,7 +579,7 @@ let exec_op (eng : t) (th : thread) : unit =
                         wth.pending_rcv <- Some (g, Event.Notify);
                         wth.fiber <-
                           Pending (Op.Reacquire (wlock, wdepth, false, wsite), wk);
-                        Strategy.set_pend eng.view wtid
+                        Enabled_set.set_pend eng.enabled wtid
                           (Op.P_reacquire { lock = Lock.id wlock; site = wsite });
                         ls.contenders <- wtid :: ls.contenders;
                         refresh_enabled eng wth
@@ -611,7 +627,7 @@ let exec_op (eng : t) (th : thread) : unit =
                  ls.waiters <- List.filter (fun tid -> tid <> target.tid) ls.waiters;
                  target.fiber <-
                    Pending (Op.Reacquire (wlock, wdepth, true, wsite), wk);
-                 Strategy.set_pend eng.view target.tid
+                 Enabled_set.set_pend eng.enabled target.tid
                    (Op.P_reacquire { lock = Lock.id wlock; site = wsite });
                  ls.contenders <- target.tid :: ls.contenders
              | _ -> ());
@@ -648,7 +664,7 @@ let rec drain_fast eng th =
   end
 
 let view_of eng =
-  Strategy.set_step eng.view eng.steps;
+  Enabled_set.set_step eng.enabled eng.steps;
   eng.view
 
 (* The watchdog: consulted at every switch point.  The step cap is exact
@@ -692,14 +708,14 @@ let rec loop eng =
     match deadline_hit eng with
     | Some reason -> eng.cancelled <- Some reason
     | None ->
-  if Strategy.count eng.view = 0 then ()
+  if eng.enabled.Enabled_set.n_on = 0 then ()
     (* termination or deadlock; classified by [run] *)
   else begin
     let view = view_of eng in
     eng.switches <- eng.switches + 1;
     let tid = eng.strategy.Strategy.choose view in
     let th =
-      if Strategy.is_enabled eng.view tid then eng.threads.(tid)
+      if is_enabled eng tid then eng.threads.(tid)
       else
         invariant_fail "strategy %s chose non-enabled tid %d"
           eng.strategy.Strategy.sname tid
@@ -715,6 +731,7 @@ let run ?(config = default_config) ?(listeners = []) ?btrace ~strategy
   Lock.reset_counter ();
   let t0 = Unix.gettimeofday () in
   let prng = Prng.create config.seed in
+  let enabled = Enabled_set.create prng in
   let eng =
     {
       cfg = config;
@@ -729,7 +746,8 @@ let run ?(config = default_config) ?(listeners = []) ?btrace ~strategy
       threads = [||];
       n_threads = 0;
       lock_states = [||];
-      view = Strategy.create_view prng;
+      enabled;
+      view = Strategy.of_enabled_set enabled;
       steps = 0;
       switches = 0;
       next_msg = 0;

@@ -9,113 +9,39 @@
     All randomness must be drawn from the view's PRNG, which the engine
     seeds — this is what makes whole runs replayable from a seed.
 
-    The view is the engine's enabled set itself: a sorted array of the
-    enabled tids plus one row per tid, updated by the engine at every
-    enabledness transition, so presenting it costs nothing per
+    The view is the engine's {!Enabled_set} itself, behind an abstract
+    type that only reads it, so presenting it costs nothing per
     consultation. *)
 
 open Rf_util
 
-type entry = { tid : int; tname : string; mutable pend : Op.pend }
-
-type view = {
-  mutable vstep : int;
-  vprng : Prng.t;
-  mutable rows : entry array;  (* index = tid; first [n_rows] slots *)
-  mutable n_rows : int;
-  mutable on : Bytes.t;  (* index = tid; '\001' iff enabled *)
-  mutable sorted : int array;  (* enabled tids, ascending; first [n_on] *)
-  mutable n_on : int;
+type entry = Enabled_set.entry = private {
+  tid : int;
+  tname : string;
+  mutable pend : Op.pend;
 }
 
-let count v = v.n_on
-let nth v i = v.rows.(v.sorted.(i))
-let step v = v.vstep
-let prng v = v.vprng
+type view = Enabled_set.t
 
-let[@inline] is_enabled v tid =
+let of_enabled_set (s : Enabled_set.t) : view = s
+let count (v : view) = v.n_on
+let nth (v : view) i = v.rows.(v.sorted.(i))
+let step (v : view) = v.vstep
+let prng (v : view) = v.vprng
+
+let is_enabled (v : view) tid =
   tid >= 0 && tid < v.n_rows && Bytes.get v.on tid = '\001'
 
 let find v tid = if is_enabled v tid then Some v.rows.(tid) else None
 
 (* Binary search over the sorted enabled tids. *)
-let rank v tid =
+let rank (v : view) tid =
   let lo = ref 0 and hi = ref v.n_on in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
     if v.sorted.(mid) < tid then lo := mid + 1 else hi := mid
   done;
   !lo
-
-(* ------------------------------------------------------------------ *)
-(* Engine side                                                         *)
-
-let create_view prng =
-  {
-    vstep = 0;
-    vprng = prng;
-    rows = [||];
-    n_rows = 0;
-    on = Bytes.empty;
-    sorted = [||];
-    n_on = 0;
-  }
-
-let add_thread v ~name =
-  let tid = v.n_rows in
-  let row = { tid; tname = name; pend = Op.P_start } in
-  let cap = Array.length v.rows in
-  if tid = cap then begin
-    let cap' = max 8 (2 * cap) in
-    let rows = Array.make cap' row in
-    Array.blit v.rows 0 rows 0 cap;
-    v.rows <- rows;
-    let on = Bytes.make cap' '\000' in
-    Bytes.blit v.on 0 on 0 cap;
-    v.on <- on;
-    let sorted = Array.make cap' 0 in
-    Array.blit v.sorted 0 sorted 0 v.n_on;
-    v.sorted <- sorted
-  end;
-  v.rows.(tid) <- row;
-  v.n_rows <- tid + 1;
-  tid
-
-let row v tid = v.rows.(tid)
-let set_pend v tid pend = v.rows.(tid).pend <- pend
-let set_step v s = v.vstep <- s
-
-(* Insertion-sort steps over the sorted array: a flip moves only the
-   enabled entries above [tid], so the common cases — a fork appending
-   the largest tid, a lock contender among a few threads — touch one or a
-   few slots, with no search and no C call. *)
-let flip v tid b =
-  let a = v.sorted in
-  if b then begin
-    let j = ref v.n_on in
-    while !j > 0 && a.(!j - 1) > tid do
-      a.(!j) <- a.(!j - 1);
-      decr j
-    done;
-    a.(!j) <- tid;
-    v.n_on <- v.n_on + 1;
-    Bytes.set v.on tid '\001'
-  end
-  else begin
-    (* shift every entry above [tid] down one slot, from the top *)
-    let j = ref (v.n_on - 1) in
-    let carry = ref a.(!j) in
-    while !carry <> tid do
-      let c = a.(!j - 1) in
-      a.(!j - 1) <- !carry;
-      carry := c;
-      decr j
-    done;
-    v.n_on <- v.n_on - 1;
-    Bytes.set v.on tid '\000'
-  end
-
-let[@inline] set_enabled v tid b = if is_enabled v tid <> b then flip v tid b
 
 (* ------------------------------------------------------------------ *)
 (* Strategies                                                          *)
@@ -128,12 +54,12 @@ let make ~name choose = { sname = name; choose }
 (* The lowest enabled tid above [tid], wrapping to the lowest overall. *)
 let next_after v tid =
   let i = rank v (tid + 1) in
-  v.sorted.(if i < v.n_on then i else 0)
+  (nth v (if i < count v then i else 0)).tid
 
 (** Uniform random choice among enabled threads — the paper's "simple
     random scheduler" baseline (Table 1, column "Simple"). *)
 let random () =
-  make ~name:"random" (fun v -> (nth v (Prng.int v.vprng v.n_on)).tid)
+  make ~name:"random" (fun v -> (nth v (Prng.int (prng v) (count v))).tid)
 
 (** Round-robin over tids: a fair, deterministic scheduler. *)
 let round_robin () =
@@ -153,7 +79,7 @@ let run_until_block () =
   make ~name:"run-until-block" (fun v ->
       if is_enabled v !current then !current
       else begin
-        current := v.sorted.(0);
+        current := (nth v 0).tid;
         !current
       end)
 

@@ -8,7 +8,8 @@
 
     {2 The view contract}
 
-    A {!view} is the engine's own enabled set, shown read-only: it is
+    A {!view} is the engine's own enabled set ({!Enabled_set}), shown
+    read-only — the type is abstract, and nothing here writes to it: it is
     {e valid only during the [choose] call} it is passed to.  The engine
     mutates it as soon as the chosen thread executes, so a strategy must
     not keep the view, or a row read from it, across consultations (keep
@@ -25,7 +26,7 @@
 
 open Rf_util
 
-type entry = private {
+type entry = Enabled_set.entry = private {
   tid : int;
   tname : string;
   mutable pend : Op.pend;  (** the operation the thread is parked at *)
@@ -34,6 +35,12 @@ type entry = private {
     whenever the thread parks. *)
 
 type view
+(** Read-only: nothing here mutates a view, and a strategy cannot reach
+    the {!Enabled_set.t} behind it. *)
+
+val of_enabled_set : Enabled_set.t -> view
+(** Engine side: the view of the engine's enabled set — the same value,
+    not a copy. *)
 
 val count : view -> int
 (** Enabled threads; never 0 inside [choose]. *)
@@ -79,25 +86,3 @@ val timesliced : ?quantum:int -> unit -> t
 (** Preemptive fair scheduling with a fixed quantum — our model of a JVM's
     default scheduler on a lightly loaded machine, under which the paper's
     Figure 2 window virtually never lines up. *)
-
-(** {2 Engine side}
-
-    The engine maintains the enabled set through these calls, at the
-    transitions that change it; strategies never call them. *)
-
-val create_view : Prng.t -> view
-(** An empty enabled set over no threads. *)
-
-val add_thread : view -> name:string -> int
-(** Registers the next tid (0, 1, 2, ...) with a [P_start] row, not yet
-    enabled, and returns it. *)
-
-val row : view -> int -> entry
-(** The row of any registered tid, enabled or not. *)
-
-val set_pend : view -> int -> Op.pend -> unit
-val set_enabled : view -> int -> bool -> unit
-(** Inserts or removes the tid in the sorted enabled set; a no-op when
-    the tid is already in the requested state. *)
-
-val set_step : view -> int -> unit

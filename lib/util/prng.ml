@@ -42,13 +42,15 @@ let bool t = Int64.equal (Int64.logand (next_int64 t) 1L) 1L
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   let mask = 0x3FFF_FFFF_FFFF_FFFFL in
-  let rec go () =
-    let r = Int64.to_int (Int64.logand (next_int64 t) mask) in
-    (* [r] is in [0, 2^62); avoid modulo bias by rejecting the tail. *)
-    let limit = max_int - (max_int mod bound) in
-    if r >= limit then go () else r mod bound
-  in
-  go ()
+  (* [r] is in [0, 2^62); avoid modulo bias by rejecting the tail.  A
+     loop rather than a local recursive function, so that a draw — one
+     per scheduler consultation — allocates no closure. *)
+  let limit = max_int - (max_int mod bound) in
+  let r = ref (Int64.to_int (Int64.logand (next_int64 t) mask)) in
+  while !r >= limit do
+    r := Int64.to_int (Int64.logand (next_int64 t) mask)
+  done;
+  !r mod bound
 
 let float t =
   (* 53 random bits scaled to [0, 1). *)

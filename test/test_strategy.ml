@@ -20,27 +20,40 @@ module Int_set = Set.Make (Int)
 let enabled_tids v =
   List.init (Strategy.count v) (fun i -> (Strategy.nth v i).Strategy.tid)
 
+(* The set is mutated through [Enabled_set], as the engine does, and read
+   through the strategy view of it.  Ops: 0 forks a new, highest tid that
+   starts enabled; 1 / 2 enable / disable one registered tid; 3 is a
+   batch ([set_enabled_each]) over several registered tids, duplicates
+   included, each set to the parity of the first number that named it.
+   Any of them may be a no-op. *)
 let prop_enabled_set_model =
   QCheck.Test.make ~name:"sorted enabled set = Int.Set model" ~count:500
-    QCheck.(list_of_size Gen.(0 -- 300) (pair (int_bound 2) small_nat))
+    QCheck.(
+      list_of_size Gen.(0 -- 300) (pair (int_bound 3) (small_list small_nat)))
     (fun ops ->
-      let v = Strategy.create_view (Prng.create 0) in
+      let set = Enabled_set.create (Prng.create 0) in
+      let v = Strategy.of_enabled_set set in
       let model = ref Int_set.empty and registered = ref 0 in
+      let model_set tid on =
+        model := (if on then Int_set.add else Int_set.remove) tid !model
+      in
       List.for_all
-        (fun (op, x) ->
-          (match op with
-          | 0 ->
-              (* fork: a new, highest tid that starts enabled *)
-              let tid = Strategy.add_thread v ~name:"t" in
+        (fun (op, xs) ->
+          (match (op, xs) with
+          | 0, _ ->
+              let tid = Enabled_set.add_thread set ~name:"t" in
               incr registered;
-              Strategy.set_enabled v tid true;
-              model := Int_set.add tid !model
-          | _ when !registered > 0 ->
-              (* enable (1) or disable (2) a registered tid, either way
-                 possibly a no-op *)
+              Enabled_set.set_enabled set tid true;
+              model_set tid true
+          | (1 | 2), x :: _ when !registered > 0 ->
               let tid = x mod !registered and on = op = 1 in
-              Strategy.set_enabled v tid on;
-              model := (if on then Int_set.add else Int_set.remove) tid !model
+              Enabled_set.set_enabled set tid on;
+              model_set tid on
+          | 3, _ when !registered > 0 ->
+              let named = List.map (fun x -> (x mod !registered, x)) xs in
+              let f tid = List.assoc tid named mod 2 = 1 in
+              Enabled_set.set_enabled_each set (List.map fst named) f;
+              List.iter (fun (tid, _) -> model_set tid (f tid)) named
           | _ -> ());
           enabled_tids v = Int_set.elements !model
           && List.for_all

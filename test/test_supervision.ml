@@ -347,17 +347,6 @@ let test_chaos_is_deterministic () =
   let a = run_fig1 ~chaos:(chaos ()) () and b = run_fig1 ~chaos:(chaos ()) () in
   Alcotest.(check string) "same chaos seed, same fingerprint"
     (fp a.Campaign.analysis) (fp b.Campaign.analysis);
-  (* The crash count also includes speculative trials that the second
-     domain happened to run past a pair's cutoff or quarantine bound, so
-     it is compared on campaigns with neither: every granted trial runs
-     exactly once. *)
-  let every_trial () =
-    run_fig1 ~cutoff:false
-      ~supervision:{ Supervisor.default_policy with Supervisor.quarantine_crashes = 0 }
-      ~chaos:(chaos ()) ()
-  in
-  let a = every_trial () and b = every_trial () in
-  Alcotest.(check bool) "crashes injected" true (a.Campaign.stats.Campaign.s_crashes > 0);
   Alcotest.(check int) "same crash count" a.Campaign.stats.Campaign.s_crashes
     b.Campaign.stats.Campaign.s_crashes
 
@@ -409,15 +398,11 @@ let test_kill_resume_matches_uninterrupted () =
     (fp full.Campaign.analysis) (fp resumed.Campaign.analysis)
 
 let test_resume_from_complete_journal_runs_nothing () =
-  (* Without cutoff: with it, a worker on the second domain may run a
-     speculative trial past a pair's resolution (later discarded) in
-     either run, so executed and replayed counts would depend on timing.
-     Resume under cutoff is pinned by the kill + resume fingerprint test. *)
   let journal = Filename.temp_file "journal" ".jsonl" in
   let log = Event_log.open_file journal in
-  let first = run_fig1 ~cutoff:false ~log () in
+  let first = run_fig1 ~log () in
   Event_log.close log;
-  let resumed = run_fig1 ~cutoff:false ~resume:journal () in
+  let resumed = run_fig1 ~resume:journal () in
   Sys.remove journal;
   Alcotest.(check int) "no trial re-executed" 0
     resumed.Campaign.stats.Campaign.s_trials;
@@ -425,6 +410,26 @@ let test_resume_from_complete_journal_runs_nothing () =
     resumed.Campaign.stats.Campaign.s_replayed;
   Alcotest.(check string) "identical analysis" (fp first.Campaign.analysis)
     (fp resumed.Campaign.analysis)
+
+let test_resume_replays_trials_past_a_bound () =
+  (* A journal written without cutoff holds every trial, most of them
+     past the resolution a cutoff campaign reaches: resuming under cutoff
+     must replay all of them (a speculative trial the interrupted run
+     already paid for) rather than skip them, and still truncate the
+     analysis at the bound. *)
+  let journal = Filename.temp_file "journal" ".jsonl" in
+  let log = Event_log.open_file journal in
+  let first = run_fig1 ~cutoff:false ~log () in
+  Event_log.close log;
+  let resumed = run_fig1 ~resume:journal () in
+  Sys.remove journal;
+  Alcotest.(check int) "every journaled trial replayed"
+    first.Campaign.stats.Campaign.s_trials
+    resumed.Campaign.stats.Campaign.s_replayed;
+  Alcotest.(check bool) "trials past a bound discarded" true
+    (resumed.Campaign.stats.Campaign.s_discarded > 0);
+  Alcotest.(check string) "same analysis as a fresh cutoff campaign"
+    (fp (run_fig1 ()).Campaign.analysis) (fp resumed.Campaign.analysis)
 
 (* ------------------------------------------------------------------ *)
 
@@ -476,5 +481,7 @@ let () =
             test_kill_resume_matches_uninterrupted;
           Alcotest.test_case "complete journal replays everything" `Quick
             test_resume_from_complete_journal_runs_nothing;
+          Alcotest.test_case "journaled trials past a bound replay" `Quick
+            test_resume_replays_trials_past_a_bound;
         ] );
     ]
