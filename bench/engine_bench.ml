@@ -306,7 +306,7 @@ let measure_algo_campaign ~trials (wl : bench_workload) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* JSON output (hand-rolled: no JSON dependency in the tree)           *)
+(* JSON output (strings escaped by the shared Json codec)             *)
 
 (* Schema 2: the domain count moved from the file header into each result
    row — sequential rows are always single-domain while campaign rows run
@@ -319,17 +319,18 @@ let measure_algo_campaign ~trials (wl : bench_workload) =
 let write_json ~path ~mode rows =
   let oc = open_out path in
   let pf fmt = Printf.fprintf oc fmt in
+  let str s = Rf_util.Json.to_string (S s) in
   pf "{\n";
   pf "  \"schema\": \"rf-bench-engine/3\",\n";
-  pf "  \"mode\": %S,\n" mode;
+  pf "  \"mode\": %s,\n" (str mode);
   pf "  \"results\": [\n";
   List.iteri
     (fun i r ->
       pf
-        "    {\"workload\": %S, \"harness\": %S, \"domains\": %d, \"runs\": %d, \
+        "    {\"workload\": %s, \"harness\": %s, \"domains\": %d, \"runs\": %d, \
          \"steps\": %d, \"wall_s\": %.6f, \"steps_per_sec\": %.1f, \
          \"peak_heap_words\": %d}%s\n"
-        r.r_workload r.r_harness r.r_domains r.r_runs r.r_steps r.r_wall
+        (str r.r_workload) (str r.r_harness) r.r_domains r.r_runs r.r_steps r.r_wall
         r.r_steps_per_sec r.r_peak_heap_words
         (if i = List.length rows - 1 then "" else ","))
     rows;

@@ -1020,18 +1020,7 @@ let corpus_cmd =
         List.iter
           (fun (e : Rf_campaign.Corpus.entry) ->
             print_endline
-              (Rf_campaign.Event_log.render_flat
-                 [
-                   ("kind", Rf_campaign.Event_log.S e.Rf_campaign.Corpus.e_kind);
-                   ("key", Rf_campaign.Event_log.S e.Rf_campaign.Corpus.e_key);
-                   ( "target",
-                     Rf_campaign.Event_log.S e.Rf_campaign.Corpus.e_target );
-                   ("pair", Rf_campaign.Event_log.S e.Rf_campaign.Corpus.e_pair);
-                   ("seed", Rf_campaign.Event_log.I e.Rf_campaign.Corpus.e_seed);
-                   ("file", Rf_campaign.Event_log.S e.Rf_campaign.Corpus.e_file);
-                   ("crc", Rf_campaign.Event_log.S e.Rf_campaign.Corpus.e_crc);
-                   ("seen", Rf_campaign.Event_log.I e.Rf_campaign.Corpus.e_seen);
-                 ]))
+              (Rf_util.Json.to_string (O (Rf_campaign.Corpus.fields e))))
           (Rf_campaign.Corpus.load dir)
     | `List ->
         let entries = Rf_campaign.Corpus.load dir in

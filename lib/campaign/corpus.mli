@@ -14,7 +14,7 @@
     v}
 
     Every index line carries the journal's FNV-1a CRC seal
-    ({!Event_log.seal}), and updates go through {!Rf_util.Atomic_file}
+    ({!Rf_util.Json.seal}), and updates go through {!Rf_util.Atomic_file}
     (write-tmp, flush, rename) — a campaign SIGKILLed mid-update leaves
     the previous index byte-intact and loadable, which {!verify} checks
     and the chaos tests exercise.
@@ -42,6 +42,10 @@ type entry = {
 }
 
 type summary = { cs_added : int; cs_deduped : int; cs_total : int }
+
+val fields : entry -> (string * Rf_util.Json.t) list
+(** An entry as the flat object an index line holds (before its seal),
+    in index field order. *)
 
 val entry :
   kind:string ->

@@ -107,32 +107,16 @@ type event =
     }
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering (hand-rolled: no JSON dependency in the toolchain)   *)
+(* JSON rendering, through the shared codec                            *)
 
-type jv = I of int | F of float | S of string | B of bool | Null
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jv_to_string = function
-  | I n -> string_of_int n
-  | F x -> Printf.sprintf "%.6f" x
-  | S s -> Printf.sprintf "\"%s\"" (escape s)
-  | B b -> if b then "true" else "false"
-  | Null -> "null"
+type jv = Rf_util.Json.t =
+  | Null
+  | B of bool
+  | I of int
+  | F of float
+  | S of string
+  | L of jv list
+  | O of (string * jv) list
 
 let fields_of_event = function
   | Journal_opened { schema } -> ("journal_opened", [ ("schema", I schema) ])
@@ -319,135 +303,11 @@ let event_name ev = fst (fields_of_event ev)
 
 let to_json ~seq ~elapsed ev =
   let name, fields = fields_of_event ev in
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (Printf.sprintf "{\"seq\":%d,\"t\":%.6f,\"ev\":\"%s\"" seq elapsed name);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf (Printf.sprintf ",\"%s\":%s" k (jv_to_string v)))
-    fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Rf_util.Json.to_string
+    (O (("seq", I seq) :: ("t", F elapsed) :: ("ev", S name) :: fields))
 
 (* ------------------------------------------------------------------ *)
-(* JSON parsing: exactly the flat-object subset [to_json] emits.       *)
-
-exception Parse_error
-
-let parse_object (line : string) : (string * jv) list =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos >= n then raise Parse_error else line.[!pos] in
-  let advance () = incr pos in
-  let expect c = if peek () <> c then raise Parse_error else advance () in
-  let skip_ws () =
-    while !pos < n && (peek () = ' ' || peek () = '\t') do
-      advance ()
-    done
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'u' ->
-              if !pos + 4 >= n then raise Parse_error;
-              let code =
-                try int_of_string ("0x" ^ String.sub line (!pos + 1) 4)
-                with _ -> raise Parse_error
-              in
-              pos := !pos + 4;
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else Buffer.add_string buf (Printf.sprintf "\\u%04x" code)
-          | _ -> raise Parse_error);
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_value () =
-    match peek () with
-    | '"' -> S (parse_string ())
-    | 't' ->
-        pos := !pos + 4;
-        if !pos > n then raise Parse_error;
-        B true
-    | 'f' ->
-        pos := !pos + 5;
-        if !pos > n then raise Parse_error;
-        B false
-    | 'n' ->
-        pos := !pos + 4;
-        if !pos > n then raise Parse_error;
-        Null
-    | _ ->
-        let start = !pos in
-        let is_float = ref false in
-        while
-          !pos < n
-          &&
-          match line.[!pos] with
-          | '0' .. '9' | '-' | '+' -> true
-          | '.' | 'e' | 'E' ->
-              is_float := true;
-              true
-          | _ -> false
-        do
-          advance ()
-        done;
-        let s = String.sub line start (!pos - start) in
-        if s = "" then raise Parse_error
-        else if !is_float then
-          F (try float_of_string s with _ -> raise Parse_error)
-        else I (try int_of_string s with _ -> raise Parse_error)
-  in
-  expect '{';
-  skip_ws ();
-  if peek () = '}' then []
-  else begin
-    let fields = ref [] in
-    let rec members () =
-      skip_ws ();
-      let k = parse_string () in
-      skip_ws ();
-      expect ':';
-      skip_ws ();
-      let v = parse_value () in
-      fields := (k, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | ',' ->
-          advance ();
-          members ()
-      | '}' -> advance ()
-      | _ -> raise Parse_error
-    in
-    members ();
-    List.rev !fields
-  end
-
-let str_f fields k = match List.assoc_opt k fields with Some (S s) -> Some s | _ -> None
-let int_f fields k = match List.assoc_opt k fields with Some (I n) -> Some n | _ -> None
-let bool_f fields k = match List.assoc_opt k fields with Some (B b) -> Some b | _ -> None
-
-let float_f fields k =
-  match List.assoc_opt k fields with
-  | Some (F x) -> Some x
-  | Some (I n) -> Some (float_of_int n)
-  | _ -> None
+(* Reading back                                                        *)
 
 let opt_int_f fields k =
   match List.assoc_opt k fields with
@@ -456,58 +316,59 @@ let opt_int_f fields k =
   | _ -> None
 
 let event_of_fields fields : event option =
+  let open Rf_util.Json in
   let ( let* ) = Option.bind in
-  match str_f fields "ev" with
+  match str fields "ev" with
   | Some "journal_opened" ->
-      let* schema = int_f fields "schema" in
+      let* schema = int fields "schema" in
       Some (Journal_opened { schema })
   | Some "campaign_started" ->
-      let* domains = int_f fields "domains" in
-      let* base_trials = int_f fields "base_trials" in
+      let* domains = int fields "domains" in
+      let* base_trials = int fields "base_trials" in
       let* budget = opt_int_f fields "budget" in
-      let* cutoff = bool_f fields "cutoff" in
+      let* cutoff = bool fields "cutoff" in
       Some (Campaign_started { domains; base_trials; budget; cutoff })
   | Some "phase1_finished" ->
-      let* potential = int_f fields "potential" in
-      let* wall = float_f fields "wall" in
+      let* potential = int fields "potential" in
+      let* wall = float fields "wall" in
       (* degradation fields arrived in v3, detector identity in v5;
          default for older journals *)
-      let degraded = Option.value ~default:false (bool_f fields "degraded") in
-      let level = Option.value ~default:"full" (str_f fields "level") in
-      let detector = Option.value ~default:"hybrid" (str_f fields "detector") in
-      let miss_bound = float_f fields "miss_bound" in
+      let degraded = Option.value ~default:false (bool fields "degraded") in
+      let level = Option.value ~default:"full" (str fields "level") in
+      let detector = Option.value ~default:"hybrid" (str fields "detector") in
+      let miss_bound = float fields "miss_bound" in
       Some (Phase1_finished { potential; wall; degraded; level; detector; miss_bound })
   | Some "phase1_recorded" ->
-      let* events = int_f fields "events" in
-      let* bytes = int_f fields "bytes" in
-      let* shards = int_f fields "shards" in
-      let* record_wall = float_f fields "record_wall" in
-      let* detect_wall = float_f fields "detect_wall" in
+      let* events = int fields "events" in
+      let* bytes = int fields "bytes" in
+      let* shards = int fields "shards" in
+      let* record_wall = float fields "record_wall" in
+      let* detect_wall = float fields "detect_wall" in
       Some (Phase1_recorded { events; bytes; shards; record_wall; detect_wall })
   | Some "wave_started" ->
-      let* wave = int_f fields "wave" in
-      let* tasks = int_f fields "tasks" in
+      let* wave = int fields "wave" in
+      let* tasks = int fields "tasks" in
       Some (Wave_started { wave; tasks })
   | Some "trial_started" ->
-      let* pair = str_f fields "pair" in
-      let* seed = int_f fields "seed" in
-      let* domain = int_f fields "domain" in
+      let* pair = str fields "pair" in
+      let* seed = int fields "seed" in
+      let* domain = int fields "domain" in
       Some (Trial_started { pair; seed; domain })
   | Some "trial_finished" ->
-      let* pair = str_f fields "pair" in
-      let* seed = int_f fields "seed" in
-      let* domain = int_f fields "domain" in
-      let* race = bool_f fields "race" in
-      let* error = bool_f fields "error" in
-      let* deadlock = bool_f fields "deadlock" in
-      let* steps = int_f fields "steps" in
-      let* switches = int_f fields "switches" in
-      let* exns = int_f fields "exns" in
-      let* wall = float_f fields "wall" in
-      let degraded = Option.value ~default:false (bool_f fields "degraded") in
-      let level = Option.value ~default:"full" (str_f fields "level") in
-      let trigger = Option.value ~default:"" (str_f fields "trigger") in
-      let evicted = Option.value ~default:0 (int_f fields "evicted") in
+      let* pair = str fields "pair" in
+      let* seed = int fields "seed" in
+      let* domain = int fields "domain" in
+      let* race = bool fields "race" in
+      let* error = bool fields "error" in
+      let* deadlock = bool fields "deadlock" in
+      let* steps = int fields "steps" in
+      let* switches = int fields "switches" in
+      let* exns = int fields "exns" in
+      let* wall = float fields "wall" in
+      let degraded = Option.value ~default:false (bool fields "degraded") in
+      let level = Option.value ~default:"full" (str fields "level") in
+      let trigger = Option.value ~default:"" (str fields "trigger") in
+      let evicted = Option.value ~default:0 (int fields "evicted") in
       Some
         (Trial_finished
            {
@@ -527,33 +388,33 @@ let event_of_fields fields : event option =
              evicted;
            })
   | Some "trial_crashed" ->
-      let* pair = str_f fields "pair" in
-      let* seed = int_f fields "seed" in
-      let* domain = int_f fields "domain" in
-      let* exn_ = str_f fields "exn" in
-      let* backtrace = str_f fields "backtrace" in
+      let* pair = str fields "pair" in
+      let* seed = int fields "seed" in
+      let* domain = int fields "domain" in
+      let* exn_ = str fields "exn" in
+      let* backtrace = str fields "backtrace" in
       Some (Trial_crashed { pair; seed; domain; exn_; backtrace })
   | Some "trial_exhausted" ->
-      let* pair = str_f fields "pair" in
-      let* seed = int_f fields "seed" in
-      let* domain = int_f fields "domain" in
-      let* reason = str_f fields "reason" in
-      let* steps = int_f fields "steps" in
-      let* wall = float_f fields "wall" in
+      let* pair = str fields "pair" in
+      let* seed = int fields "seed" in
+      let* domain = int fields "domain" in
+      let* reason = str fields "reason" in
+      let* steps = int fields "steps" in
+      let* wall = float fields "wall" in
       Some (Trial_exhausted { pair; seed; domain; reason; steps; wall })
   | Some "pair_filtered" ->
-      let* pair = str_f fields "pair" in
-      let* reason = str_f fields "reason" in
+      let* pair = str fields "pair" in
+      let* reason = str fields "reason" in
       Some (Pair_filtered { pair; reason })
   | Some "static_classified" ->
-      let* universe = int_f fields "universe" in
-      let* universe_impossible = int_f fields "universe_impossible" in
-      let* frontier = int_f fields "frontier" in
-      let* likely = int_f fields "likely" in
-      let* unknown = int_f fields "unknown" in
-      let* impossible = int_f fields "impossible" in
-      let* filtered = int_f fields "filtered" in
-      let* wall = float_f fields "wall" in
+      let* universe = int fields "universe" in
+      let* universe_impossible = int fields "universe_impossible" in
+      let* frontier = int fields "frontier" in
+      let* likely = int fields "likely" in
+      let* unknown = int fields "unknown" in
+      let* impossible = int fields "impossible" in
+      let* filtered = int fields "filtered" in
+      let* wall = float fields "wall" in
       Some
         (Static_classified
            {
@@ -567,73 +428,73 @@ let event_of_fields fields : event option =
              wall;
            })
   | Some "pair_resolved" ->
-      let* pair = str_f fields "pair" in
-      let* at_trial = int_f fields "at_trial" in
+      let* pair = str fields "pair" in
+      let* at_trial = int fields "at_trial" in
       Some (Pair_resolved { pair; at_trial })
   | Some "pair_quarantined" ->
-      let* pair = str_f fields "pair" in
-      let* crashes = int_f fields "crashes" in
-      let* at_trial = int_f fields "at_trial" in
+      let* pair = str fields "pair" in
+      let* crashes = int fields "crashes" in
+      let* at_trial = int fields "at_trial" in
       Some (Pair_quarantined { pair; crashes; at_trial })
   | Some "trials_cancelled" ->
-      let* pair = str_f fields "pair" in
-      let* count = int_f fields "count" in
+      let* pair = str fields "pair" in
+      let* count = int fields "count" in
       Some (Trials_cancelled { pair; count })
   | Some "budget_granted" ->
-      let* pair = str_f fields "pair" in
-      let* extra = int_f fields "extra" in
+      let* pair = str fields "pair" in
+      let* extra = int fields "extra" in
       Some (Budget_granted { pair; extra })
   | Some "worker_crashed" ->
-      let* domain = int_f fields "domain" in
-      let* attempt = int_f fields "attempt" in
-      let* exn_ = str_f fields "exn" in
+      let* domain = int fields "domain" in
+      let* attempt = int fields "attempt" in
+      let* exn_ = str fields "exn" in
       Some (Worker_crashed { domain; attempt; exn_ })
   | Some "worker_respawned" ->
-      let* domain = int_f fields "domain" in
-      let* attempt = int_f fields "attempt" in
-      let* backoff = float_f fields "backoff" in
+      let* domain = int fields "domain" in
+      let* attempt = int fields "attempt" in
+      let* backoff = float fields "backoff" in
       Some (Worker_respawned { domain; attempt; backoff })
   | Some "worker_gave_up" ->
-      let* domain = int_f fields "domain" in
+      let* domain = int fields "domain" in
       Some (Worker_gave_up { domain })
   | Some "worker_spawned" ->
-      let* worker = int_f fields "worker" in
-      let* pid = int_f fields "pid" in
+      let* worker = int fields "worker" in
+      let* pid = int fields "pid" in
       Some (Worker_spawned { worker; pid })
   | Some "worker_killed" ->
-      let* worker = int_f fields "worker" in
-      let* pid = int_f fields "pid" in
-      let* reason = str_f fields "reason" in
+      let* worker = int fields "worker" in
+      let* pid = int fields "pid" in
+      let* reason = str fields "reason" in
       Some (Worker_killed { worker; pid; reason })
   | Some "traces_saved" ->
-      let* dir = str_f fields "dir" in
-      let* count = int_f fields "count" in
-      let* bytes = int_f fields "bytes" in
+      let* dir = str fields "dir" in
+      let* count = int fields "count" in
+      let* bytes = int fields "bytes" in
       Some (Traces_saved { dir; count; bytes })
   | Some "corpus_updated" ->
-      let* dir = str_f fields "dir" in
-      let* added = int_f fields "added" in
-      let* deduped = int_f fields "deduped" in
-      let* total = int_f fields "total" in
+      let* dir = str fields "dir" in
+      let* added = int fields "added" in
+      let* deduped = int fields "deduped" in
+      let* total = int fields "total" in
       Some (Corpus_updated { dir; added; deduped; total })
   | Some "resume_loaded" ->
-      let* entries = int_f fields "entries" in
-      let* skipped = int_f fields "skipped" in
+      let* entries = int fields "entries" in
+      let* skipped = int fields "skipped" in
       Some (Resume_loaded { entries; skipped })
   | Some "campaign_interrupted" ->
-      let* executed = int_f fields "executed" in
-      let* remaining = int_f fields "remaining" in
+      let* executed = int fields "executed" in
+      let* remaining = int fields "remaining" in
       Some (Campaign_interrupted { executed; remaining })
   | Some "repro_written" ->
-      let* pair = str_f fields "pair" in
-      let* fingerprint = str_f fields "fingerprint" in
-      let* seed = int_f fields "seed" in
-      let* file = str_f fields "file" in
-      let* steps_before = int_f fields "steps_before" in
-      let* steps_after = int_f fields "steps_after" in
-      let* switches_before = int_f fields "switches_before" in
-      let* switches_after = int_f fields "switches_after" in
-      let* oracle_runs = int_f fields "oracle_runs" in
+      let* pair = str fields "pair" in
+      let* fingerprint = str fields "fingerprint" in
+      let* seed = int fields "seed" in
+      let* file = str fields "file" in
+      let* steps_before = int fields "steps_before" in
+      let* steps_after = int fields "steps_after" in
+      let* switches_before = int fields "switches_before" in
+      let* switches_after = int fields "switches_after" in
+      let* oracle_runs = int fields "oracle_runs" in
       Some
         (Repro_written
            {
@@ -648,108 +509,46 @@ let event_of_fields fields : event option =
              oracle_runs;
            })
   | Some "campaign_finished" ->
-      let* wall = float_f fields "wall" in
-      let* trials = int_f fields "trials" in
-      let* cancelled = int_f fields "cancelled" in
-      let* throughput = float_f fields "throughput" in
+      let* wall = float fields "wall" in
+      let* trials = int fields "trials" in
+      let* cancelled = int fields "cancelled" in
+      let* throughput = float fields "throughput" in
       Some (Campaign_finished { wall; trials; cancelled; throughput })
   | _ -> None
 
 let event_of_json line =
-  match parse_object line with
-  | fields -> event_of_fields fields
-  | exception Parse_error -> None
-
-(* ------------------------------------------------------------------ *)
-(* Per-line checksums.
-
-   Each journal line is sealed with an FNV-1a-64 hex digest of the line
-   as rendered *without* the checksum, appended as a final "crc" field.
-   Detects the silent-corruption cases a torn-tail check cannot: a
-   partially overwritten middle line, filesystem bit rot, a hand-edited
-   journal.  Unsealed lines (v2 and earlier journals) verify as absent,
-   not bad, so old journals still load as observability streams. *)
-
-let fnv_hex = Rf_util.Fnv.hex63
-
-let crc_marker = ",\"crc\":\""
-(* marker + 16 hex digits + closing quote and brace *)
-let crc_suffix_len = String.length crc_marker + 16 + 2
-
-let seal line =
-  let n = String.length line in
-  if n = 0 || line.[n - 1] <> '}' then line
-  else
-    String.sub line 0 (n - 1) ^ crc_marker ^ fnv_hex line ^ "\"}"
-
-type seal_status = Sealed_ok | Sealed_bad | Unsealed
-
-let check_seal line =
-  let n = String.length line in
-  if n < crc_suffix_len + 2 then Unsealed
-  else if
-    String.sub line (n - crc_suffix_len) (String.length crc_marker)
-    <> crc_marker
-    || line.[n - 1] <> '}'
-    || line.[n - 2] <> '"'
-  then Unsealed
-  else
-    let crc = String.sub line (n - 18) 16 in
-    let original = String.sub line 0 (n - crc_suffix_len) ^ "}" in
-    if fnv_hex original = crc then Sealed_ok else Sealed_bad
-
-(* The flat-object JSON codec, exposed so sibling artifacts (the corpus
-   index) can share the journal's exact line format and seal instead of
-   growing a second hand-rolled parser. *)
+  Option.bind (Rf_util.Json.object_of_string line) event_of_fields
 
 let parse_flat line =
-  match parse_object line with
-  | fields -> Some fields
-  | exception Parse_error -> None
-
-let render_flat fields =
-  let buf = Buffer.create 128 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (escape k) (jv_to_string v)))
-    fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  match Rf_util.Json.object_of_string line with
+  | Some fields
+    when List.for_all (function _, (L _ | O _) -> false | _ -> true) fields ->
+      Some fields
+  | _ -> None
 
 let load_result path =
-  let ic = open_in path in
-  let events = ref [] in
-  let skipped = ref 0 in
-  (try
-     let torn = ref false in
-     while not !torn do
-       let line = input_line ic in
-       (* a crash mid-write leaves at most one torn line, necessarily the
-          last complete-line-less tail; a line that fails to parse as a
-          whole object ends the useful journal prefix *)
-       if String.length line = 0 then ()
-       else
-         match check_seal line with
-         | Sealed_bad ->
-             (* checksum mismatch: corrupted in place, not torn — skip
-                the record, keep reading, and let the caller warn *)
-             incr skipped
-         | Sealed_ok | Unsealed -> (
-             match event_of_json line with
-             | Some ev -> events := ev :: !events
-             | None ->
-                 if
-                   String.length line < 2
-                   || line.[0] <> '{'
-                   || line.[String.length line - 1] <> '}'
-                 then torn := true
-                 (* else: well-formed object of an unknown/newer event — skip *))
-     done
-   with End_of_file -> ());
-  close_in ic;
-  (List.rev !events, !skipped)
+  (* a crash mid-write leaves at most one torn line, necessarily the last;
+     a line that is not a whole object ends the useful journal prefix *)
+  let rec go events skipped = function
+    | [] -> (List.rev events, skipped)
+    | "" :: rest -> go events skipped rest
+    | line :: rest -> (
+        match Rf_util.Json.check_seal line with
+        | Rf_util.Json.Sealed_bad ->
+            (* checksum mismatch: corrupted in place, not torn — skip the
+               record, keep reading, and let the caller warn *)
+            go events (skipped + 1) rest
+        | Sealed_ok | Unsealed -> (
+            match event_of_json line with
+            | Some ev -> go (ev :: events) skipped rest
+            | None ->
+                let n = String.length line in
+                if n < 2 || line.[0] <> '{' || line.[n - 1] <> '}' then
+                  (List.rev events, skipped)
+                else (* well-formed object of an unknown/newer event *)
+                  go events skipped rest))
+  in
+  go [] 0 (Rf_util.Json.read_lines path)
 
 let load path = fst (load_result path)
 
@@ -798,7 +597,8 @@ let emit t ev =
           if not t.closed then begin
             t.seq <- t.seq + 1;
             let line =
-              seal (to_json ~seq:t.seq ~elapsed:(Unix.gettimeofday () -. t.started) ev)
+              Rf_util.Json.seal
+                (to_json ~seq:t.seq ~elapsed:(Unix.gettimeofday () -. t.started) ev)
             in
             output_string oc line;
             output_char oc '\n';

@@ -158,40 +158,14 @@ type event =
 val event_name : event -> string
 
 val to_json : seq:int -> elapsed:float -> event -> string
-(** One JSON object, no trailing newline. *)
+(** One JSON object, no trailing newline, unsealed: {!emit} adds the
+    {!Rf_util.Json.seal}. *)
 
 (** {1 Reading journals back} *)
 
 val event_of_json : string -> event option
 (** Parse one journal line.  [None] for torn lines, non-JSON, or unknown
     event shapes. *)
-
-val seal : string -> string
-(** Append a ["crc"] field (FNV-1a-64 hex of the unsealed line) before
-    the closing brace.  {!emit} seals every line it writes. *)
-
-type seal_status =
-  | Sealed_ok  (** checksum present and matching *)
-  | Sealed_bad  (** checksum present but wrong: corrupted in place *)
-  | Unsealed  (** no checksum (pre-v3 journal line) *)
-
-val check_seal : string -> seal_status
-
-(** {1 Flat-object JSON codec}
-
-    The journal's line format — one flat JSON object, scalar fields only —
-    reused by sibling artifacts (the {!Corpus} index) so the repo has one
-    hand-rolled JSON codec, not several. *)
-
-type jv = I of int | F of float | S of string | B of bool | Null
-
-val render_flat : (string * jv) list -> string
-(** One flat JSON object, unsealed; compose with {!seal} for durable
-    lines. *)
-
-val parse_flat : string -> (string * jv) list option
-(** Inverse of {!render_flat} (field order preserved); [None] on torn or
-    non-flat input. *)
 
 val load_result : string -> event list * int
 (** Read a JSONL journal; also count the checksum-bad lines that were
@@ -204,6 +178,25 @@ val load_result : string -> event list * int
 
 val load : string -> event list
 (** {!load_result} without the skip count. *)
+
+(** {1 Flat-object view}
+
+    The journal's line format — one flat JSON object, scalar fields only
+    — as {!Rf_util.Json} values, for tools that read journals without
+    going through {!event}. *)
+
+type jv = Rf_util.Json.t =
+  | Null
+  | B of bool
+  | I of int
+  | F of float
+  | S of string
+  | L of jv list
+  | O of (string * jv) list
+
+val parse_flat : string -> (string * jv) list option
+(** The fields of one line (order preserved); [None] on torn input or
+    an object with a list or object field. *)
 
 (** {1 Sinks} *)
 

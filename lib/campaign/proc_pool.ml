@@ -24,47 +24,37 @@ module Engine = Rf_runtime.Engine
 module Governor = Rf_resource.Governor
 
 (* ------------------------------------------------------------------ *)
-(* Framing: the Btrace idiom over pipes.  u32:len | payload | u64:fnv. *)
+(* Framing: the shared sealed frame ({!Sealed}) over pipes.            *)
 
 module Frame = struct
-  exception Corrupt of string
+  exception Corrupt = Sealed.Corrupt
 
   let max_len = 16 * 1024 * 1024
+  let encode = Sealed.encode
 
-  let encode payload =
-    let len = String.length payload in
-    let b = Buffer.create (len + 12) in
-    Buffer.add_int32_le b (Int32.of_int len);
-    Buffer.add_string b payload;
-    Buffer.add_int64_le b (Fnv.hash64 payload);
-    Buffer.contents b
-
+  (* Streaming: the length prefix is read in place, so a frame still
+     arriving costs nothing per chunk; a complete one is copied out once
+     and the bytes behind it are moved to the front once. *)
   let decode buf =
     let avail = Buffer.length buf in
     if avail < 4 then None
     else begin
-      let s = Buffer.contents buf in
-      let len = Int32.to_int (String.get_int32_le s 0) in
-      if len <= 0 || len > max_len then
+      let byte i = Char.code (Buffer.nth buf i) lsl (8 * i) in
+      let len = byte 0 lor byte 1 lor byte 2 lor byte 3 in
+      if len = 0 || len > max_len then
         raise
           (Corrupt
-             (Printf.sprintf "frame length %d out of range [1, %d] at offset 0"
+             (Printf.sprintf "frame length %d out of range [1, %d] at byte 0"
                 len max_len));
-      let total = 4 + len + 8 in
+      let total = len + Sealed.overhead in
       if avail < total then None
       else begin
-        let payload = String.sub s 4 len in
-        let stored = String.get_int64_le s (4 + len) in
-        let computed = Fnv.hash64 payload in
-        if not (Int64.equal stored computed) then
-          raise
-            (Corrupt
-               (Printf.sprintf
-                  "frame checksum mismatch at offset %d: stored %Lx, computed %Lx"
-                  (4 + len) stored computed));
+        let frame = Buffer.sub buf 0 total in
+        ignore (Sealed.check frame 0);
+        let rest = Buffer.sub buf total (avail - total) in
         Buffer.clear buf;
-        Buffer.add_substring buf s total (avail - total);
-        Some payload
+        Buffer.add_string buf rest;
+        Some (String.sub frame 4 len)
       end
     end
 end

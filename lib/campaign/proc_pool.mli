@@ -12,7 +12,7 @@
     {2 Wire format}
 
     Both pipe directions carry length-prefixed FNV-1a-64-sealed frames —
-    the {!Rf_events.Btrace} framing idiom:
+    the {!Rf_util.Sealed} frame that {!Rf_events.Btrace} also uses:
 
     {v
     frame   := u32:len payload[len] u64:fnv1a64(payload)   (len > 0)
@@ -53,8 +53,9 @@ open Rf_util
 
 module Frame : sig
   exception Corrupt of string
-  (** Malformed frame: zero or oversized length, truncated payload, or
-      checksum mismatch.  The message pinpoints the byte offset. *)
+  (** The {!Rf_util.Sealed.Corrupt} exception.  Malformed frame: zero or
+      oversized length, truncated payload, or checksum mismatch.  The
+      message pinpoints the byte offset. *)
 
   val max_len : int
   (** Sanity cap on a frame's payload size (16 MiB). *)
@@ -65,8 +66,8 @@ module Frame : sig
   val decode : Buffer.t -> string option
   (** Extract the first complete frame's payload from an inbound byte
       buffer, consuming it; [None] when the buffer holds only a frame
-      prefix (read more and retry).  Raises {!Corrupt} on a defective
-      frame. *)
+      prefix (read more and retry).  A prefix costs no copy: the length
+      is read in place.  Raises {!Corrupt} on a defective frame. *)
 end
 
 (** {1 Messages} *)

@@ -112,7 +112,7 @@ module Ledger = struct
   }
 
   let path dir = Filename.concat dir "serve.ledger.jsonl"
-  let header_line = Event_log.seal {|{"ledger":1}|}
+  let header_line = Json.seal {|{"ledger":1}|}
 
   let fresh () =
     {
@@ -122,73 +122,58 @@ module Ledger = struct
       l_cycles = [];
     }
 
+  let render fields = Json.seal (Json.to_string (O fields))
+
   let render_item (i : item) =
-    Event_log.seal
-      (Event_log.render_flat
-         [
-           ("rec", Event_log.S "item");
-           ("kind", Event_log.S i.li_kind);
-           ("key", Event_log.S i.li_key);
-           ("verdict", Event_log.S (verdict_to_string i.li_verdict));
-           ("cycle", Event_log.I i.li_cycle);
-           ("attempts", Event_log.I i.li_attempts);
-           ("strikes", Event_log.I i.li_strikes);
-           ("quarantine", Event_log.S i.li_quarantine);
-         ])
+    render
+      [
+        ("rec", S "item");
+        ("kind", S i.li_kind);
+        ("key", S i.li_key);
+        ("verdict", S (verdict_to_string i.li_verdict));
+        ("cycle", I i.li_cycle);
+        ("attempts", I i.li_attempts);
+        ("strikes", I i.li_strikes);
+        ("quarantine", S i.li_quarantine);
+      ]
 
   let render_target (t : target) =
-    Event_log.seal
-      (Event_log.render_flat
-         [
-           ("rec", Event_log.S "target");
-           ("name", Event_log.S t.lt_name);
-           ("tokens", Event_log.F t.lt_tokens);
-           ("mtime", Event_log.F t.lt_mtime);
-           ("campaigns", Event_log.I t.lt_campaigns);
-           ("confirmed", Event_log.S t.lt_confirmed);
-         ])
+    render
+      [
+        ("rec", S "target");
+        ("name", S t.lt_name);
+        ("tokens", F t.lt_tokens);
+        ("mtime", F t.lt_mtime);
+        ("campaigns", I t.lt_campaigns);
+        ("confirmed", S t.lt_confirmed);
+      ]
 
   let render_cycle (c : cycle) =
-    Event_log.seal
-      (Event_log.render_flat
-         [
-           ("rec", Event_log.S "cycle");
-           ("cycle", Event_log.I c.lc_cycle);
-           ("fingerprint", Event_log.S c.lc_fingerprint);
-           ("checked", Event_log.I c.lc_checked);
-           ("still", Event_log.I c.lc_still);
-           ("fixed", Event_log.I c.lc_fixed);
-           ("regressed", Event_log.I c.lc_regressed);
-           ("intact", Event_log.I c.lc_intact);
-           ("failed", Event_log.I c.lc_failed);
-           ("campaigns", Event_log.I c.lc_campaigns);
-           ("wreq", Event_log.I c.lc_wreq);
-           ("wact", Event_log.I c.lc_wact);
-         ])
+    render
+      [
+        ("rec", S "cycle");
+        ("cycle", I c.lc_cycle);
+        ("fingerprint", S c.lc_fingerprint);
+        ("checked", I c.lc_checked);
+        ("still", I c.lc_still);
+        ("fixed", I c.lc_fixed);
+        ("regressed", I c.lc_regressed);
+        ("intact", I c.lc_intact);
+        ("failed", I c.lc_failed);
+        ("campaigns", I c.lc_campaigns);
+        ("wreq", I c.lc_wreq);
+        ("wact", I c.lc_wact);
+      ]
 
   let render_meta (t : t) =
-    Event_log.seal
-      (Event_log.render_flat
-         [ ("rec", Event_log.S "meta"); ("cycle", Event_log.I t.l_cycle) ])
-
-  let str fields k =
-    match List.assoc_opt k fields with Some (Event_log.S s) -> Some s | _ -> None
-
-  let int fields k =
-    match List.assoc_opt k fields with Some (Event_log.I i) -> Some i | _ -> None
-
-  let flt fields k =
-    match List.assoc_opt k fields with
-    | Some (Event_log.F f) -> Some f
-    | Some (Event_log.I i) -> Some (float_of_int i)
-    | _ -> None
+    render [ ("rec", S "meta"); ("cycle", I t.l_cycle) ]
 
   let item_of_fields fields =
     match
-      ( str fields "kind",
-        str fields "key",
-        Option.bind (str fields "verdict") verdict_of_string,
-        int fields "cycle" )
+      ( Json.str fields "kind",
+        Json.str fields "key",
+        Option.bind (Json.str fields "verdict") verdict_of_string,
+        Json.int fields "cycle" )
     with
     | Some li_kind, Some li_key, Some li_verdict, Some li_cycle ->
         Some
@@ -197,29 +182,29 @@ module Ledger = struct
             li_key;
             li_verdict;
             li_cycle;
-            li_attempts = Option.value ~default:1 (int fields "attempts");
-            li_strikes = Option.value ~default:0 (int fields "strikes");
-            li_quarantine = Option.value ~default:"" (str fields "quarantine");
+            li_attempts = Option.value ~default:1 (Json.int fields "attempts");
+            li_strikes = Option.value ~default:0 (Json.int fields "strikes");
+            li_quarantine = Option.value ~default:"" (Json.str fields "quarantine");
           }
     | _ -> None
 
   let target_of_fields fields =
-    match str fields "name" with
+    match Json.str fields "name" with
     | Some lt_name ->
         Some
           {
             lt_name;
-            lt_tokens = Option.value ~default:0.0 (flt fields "tokens");
-            lt_mtime = Option.value ~default:0.0 (flt fields "mtime");
-            lt_campaigns = Option.value ~default:0 (int fields "campaigns");
-            lt_confirmed = Option.value ~default:"" (str fields "confirmed");
+            lt_tokens = Option.value ~default:0.0 (Json.float fields "tokens");
+            lt_mtime = Option.value ~default:0.0 (Json.float fields "mtime");
+            lt_campaigns = Option.value ~default:0 (Json.int fields "campaigns");
+            lt_confirmed = Option.value ~default:"" (Json.str fields "confirmed");
           }
     | None -> None
 
   let cycle_of_fields fields =
-    match (int fields "cycle", str fields "fingerprint") with
+    match (Json.int fields "cycle", Json.str fields "fingerprint") with
     | Some lc_cycle, Some lc_fingerprint ->
-        let n k = Option.value ~default:0 (int fields k) in
+        let n k = Option.value ~default:0 (Json.int fields k) in
         Some
           {
             lc_cycle;
@@ -236,60 +221,33 @@ module Ledger = struct
           }
     | _ -> None
 
-  let read_lines path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
-
   (* Tolerant load, like Corpus.load: bad seals and torn lines are
-     counted and skipped; the next save rewrites a clean file. *)
+     counted and skipped; the next save rewrites a clean file.  The
+     header line has no "rec" field and is ignored. *)
   let load dir =
-    let file = path dir in
-    if not (Sys.file_exists file) then (fresh (), 0)
-    else begin
-      let t = fresh () in
-      let skipped = ref 0 in
-      List.iter
-        (fun line ->
-          if String.trim line <> "" then
-            match Event_log.check_seal line with
-            | Event_log.Sealed_bad | Event_log.Unsealed -> incr skipped
-            | Event_log.Sealed_ok -> (
-                match Event_log.parse_flat line with
-                | None -> incr skipped
-                | Some fields when List.mem_assoc "ledger" fields -> ()
-                | Some fields -> (
-                    match str fields "rec" with
-                    | Some "meta" ->
-                        Option.iter
-                          (fun c -> t.l_cycle <- c)
-                          (int fields "cycle")
-                    | Some "item" ->
-                        Option.iter
-                          (fun i ->
-                            Hashtbl.replace t.l_items (i.li_kind, i.li_key) i)
-                          (item_of_fields fields)
-                    | Some "target" ->
-                        Option.iter
-                          (fun tg -> Hashtbl.replace t.l_targets tg.lt_name tg)
-                          (target_of_fields fields)
-                    | Some "cycle" ->
-                        Option.iter
-                          (fun c -> t.l_cycles <- t.l_cycles @ [ c ])
-                          (cycle_of_fields fields)
-                    | _ -> ())))
-        (read_lines file);
-      if t.l_cycle < List.length t.l_cycles + 1 then
-        t.l_cycle <- List.length t.l_cycles + 1;
-      (t, !skipped)
-    end
+    let t = fresh () in
+    let objects, skipped = Json.load_sealed (path dir) in
+    List.iter
+      (fun fields ->
+        match Json.str fields "rec" with
+        | Some "meta" -> Option.iter (fun c -> t.l_cycle <- c) (Json.int fields "cycle")
+        | Some "item" ->
+            Option.iter
+              (fun i -> Hashtbl.replace t.l_items (i.li_kind, i.li_key) i)
+              (item_of_fields fields)
+        | Some "target" ->
+            Option.iter
+              (fun tg -> Hashtbl.replace t.l_targets tg.lt_name tg)
+              (target_of_fields fields)
+        | Some "cycle" ->
+            Option.iter
+              (fun c -> t.l_cycles <- t.l_cycles @ [ c ])
+              (cycle_of_fields fields)
+        | _ -> ())
+      objects;
+    if t.l_cycle < List.length t.l_cycles + 1 then
+      t.l_cycle <- List.length t.l_cycles + 1;
+    (t, skipped)
 
   let sorted_items t =
     Hashtbl.fold (fun _ i acc -> i :: acc) t.l_items []

@@ -15,7 +15,7 @@
 
 open Rf_util
 
-exception Corrupt of string
+exception Corrupt = Sealed.Corrupt
 
 let corrupt fmt = Fmt.kstr (fun m -> raise (Corrupt m)) fmt
 
@@ -35,11 +35,6 @@ let tag_snd = 0x14
 let tag_rcv = 0x15
 let tag_start = 0x16
 let tag_exit = 0x17
-
-(* ------------------------------------------------------------------ *)
-(* FNV-1a-64 (same polynomial as the journal seal, full 64-bit width)  *)
-
-let fnv64 s pos len = Fnv.hash64_sub s ~pos ~len
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
@@ -92,12 +87,8 @@ let writer ?(block = default_block) () =
   w
 
 let flush_block w =
-  let len = Buffer.length w.block in
-  if len > 0 then begin
-    add_u32 w.out len;
-    Buffer.add_buffer w.out w.block;
-    let payload = Buffer.contents w.block in
-    Buffer.add_int64_le w.out (fnv64 payload 0 len);
+  if Buffer.length w.block > 0 then begin
+    Sealed.add w.out (Buffer.contents w.block);
     Buffer.clear w.block
   end
 
@@ -381,10 +372,8 @@ let decode_raw raw ~keep_mem emit =
   let tally = ref 0 in
   let sealed_count = ref None in
   while !sealed_count = None && !pos < n do
-    if !pos + 4 > n then corrupt "truncated frame header at byte %d" !pos;
-    let plen = Int32.to_int (String.get_int32_le raw !pos) in
-    if plen < 0 then corrupt "bad frame length %d at byte %d" plen !pos
-    else if plen = 0 then begin
+    let plen = Sealed.check raw !pos in
+    if plen = 0 then begin
       (* trailer: u32 zero + u64 event count, then end of stream *)
       if !pos + 4 + 8 > n then corrupt "truncated trailer at byte %d" !pos;
       sealed_count := Some (Int64.to_int (String.get_int64_le raw (!pos + 4)));
@@ -393,14 +382,6 @@ let decode_raw raw ~keep_mem emit =
     end
     else begin
       let payload_at = !pos + 4 in
-      if payload_at + plen + 8 > n then
-        corrupt "truncated frame at byte %d: declared %d payload bytes, %d available"
-          !pos plen (n - payload_at - 8);
-      let stored = String.get_int64_le raw (payload_at + plen) in
-      let computed = fnv64 raw payload_at plen in
-      if stored <> computed then
-        corrupt "frame checksum mismatch at byte %d: stored %Lx, computed %Lx" !pos
-          stored computed;
       let cur = { c_raw = raw; c_limit = payload_at + plen; c_pos = payload_at } in
       while cur.c_pos < cur.c_limit do
         decode_record tb cur ~tally ~keep_mem emit

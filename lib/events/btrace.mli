@@ -1,8 +1,7 @@
 (** Compact binary execution traces: the recording half of the offline
     detection pipeline.
 
-    The textual {!Serial} format is for archiving and inspection; this
-    format is for the engine hot path.  A {!writer} appends fixed-width,
+    A {!writer} appends fixed-width,
     id-keyed records into a [Buffer]-backed block arena — no [Event.t]
     is allocated, no lockset is snapshotted — so a detector-free engine
     run can record at a small fraction of the cost of feeding an inline
@@ -25,10 +24,10 @@
     bytes.  Records are either {e definitions} — a site, location or
     lockset is defined once, on first use, and referenced by id
     afterwards — or {e events}, whose fields are ids and small scalars
-    only (a [Mem] record is 17 bytes).  Frames are sealed with an
-    FNV-1a-64 checksum like the campaign journal, so torn or bit-flipped
-    recordings are rejected with a precise error instead of decoding
-    into garbage.  The trailer (a zero frame length, impossible for a
+    only (a [Mem] record is 17 bytes).  Frames are the shared
+    {!Rf_util.Sealed} frames, checksummed with FNV-1a-64, so torn or
+    bit-flipped recordings are rejected with a precise error instead of
+    decoding into garbage.  The trailer (a zero frame length, impossible for a
     real frame, plus the sealed event count) makes truncation at a frame
     boundary detectable too: frames are self-delimiting, so without it a
     recording missing its tail frames would decode as a valid shorter
@@ -36,16 +35,16 @@
 
     Sites are re-interned on decode from their structural key
     (file, line, col, label), so a recording read back in a fresh
-    process compares site-equal with live detection — the same contract
-    as {!Serial}. *)
+    process compares site-equal with live detection. *)
 
 open Rf_util
 
 exception Corrupt of string
-(** Raised on malformed input: bad magic, unsupported version, truncated
-    frame, checksum mismatch, unknown record tag, or a reference to an
-    undefined site/location/lockset id.  The message pinpoints the
-    offending byte offset. *)
+(** The {!Rf_util.Sealed.Corrupt} exception, raised on malformed input:
+    bad magic, unsupported version, truncated frame, checksum mismatch,
+    unknown record tag, or a reference to an undefined
+    site/location/lockset id.  The message pinpoints the offending byte
+    offset. *)
 
 val version : int
 

@@ -1,8 +1,6 @@
 (** Recorded schedules: versioned, serializable scheduling-decision logs.
-    See the interface for the model; this file is mostly the JSON codec
-    (hand-rolled, like {!Rf_campaign.Event_log}: the toolchain has no JSON
-    dependency, and the format is small enough that owning it keeps the
-    version gate honest). *)
+    See the interface for the model; the file format goes through the
+    shared {!Rf_util.Json} codec, laid out one step per line. *)
 
 open Rf_util
 open Rf_runtime
@@ -172,216 +170,75 @@ let error_fingerprint (o : Outcome.t) : string option =
 
 (* ------------------------------------------------------------------ *)
 (* JSON codec.  The writer emits one step object per line so schedules
-   diff and grep cleanly; the reader is a tiny recursive-descent parser
-   for the full JSON subset the writer uses (objects, arrays, strings,
-   ints, bools, null — no floats needed). *)
+   diff and grep cleanly: the codec renders each value, this layout
+   places the separators. *)
 
 exception Format_error of string
 
 let fail fmt = Fmt.kstr (fun s -> raise (Format_error s)) fmt
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_site_key k =
+  Json.O
+    [
+      ("file", S k.sk_file);
+      ("line", I k.sk_line);
+      ("col", I k.sk_col);
+      ("label", S k.sk_label);
+    ]
 
-let json_site_key buf k =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"label\":\"%s\"}"
-       (escape k.sk_file) k.sk_line k.sk_col (escape k.sk_label))
+let json_step st =
+  Json.O
+    [
+      ("tid", I st.st_tid);
+      ("op", S (kind_to_string st.st_key.k_kind));
+      ("site", match st.st_key.k_site with None -> Null | Some k -> json_site_key k);
+      ("rng", S (Int64.to_string st.st_rng));
+    ]
 
 let to_json t =
-  let buf = Buffer.create (256 + (Array.length t.steps * 64)) in
   let m = t.meta in
-  Buffer.add_string buf (Printf.sprintf "{\"version\":\"%s\",\n" (escape version));
-  Buffer.add_string buf (Printf.sprintf " \"target\":\"%s\",\n" (escape m.m_target));
-  Buffer.add_string buf (Printf.sprintf " \"seed\":%d,\n" m.m_seed);
-  (match m.m_pair with
-  | None -> Buffer.add_string buf " \"pair\":null,\n"
-  | Some (a, b) ->
-      Buffer.add_string buf " \"pair\":[";
-      json_site_key buf a;
-      Buffer.add_char buf ',';
-      json_site_key buf b;
-      Buffer.add_string buf "],\n");
-  Buffer.add_string buf (Printf.sprintf " \"max_steps\":%d,\n" m.m_max_steps);
-  Buffer.add_string buf (Printf.sprintf " \"steps\":%d,\n" m.m_steps);
-  Buffer.add_string buf
-    (Printf.sprintf " \"error\":%s,\n"
-       (match m.m_error with
-       | Some e -> Printf.sprintf "\"%s\"" (escape e)
-       | None -> "null"));
-  Buffer.add_string buf (Printf.sprintf " \"length\":%d,\n" (Array.length t.steps));
-  Buffer.add_string buf (Printf.sprintf " \"switches\":%d,\n" (switches t));
-  Buffer.add_string buf " \"schedule\":[";
+  let some f = function Some x -> f x | None -> Json.Null in
+  let header =
+    Json.
+      [
+        ("version", S version);
+        ("target", S m.m_target);
+        ("seed", I m.m_seed);
+        ("pair", some (fun (a, b) -> L [ json_site_key a; json_site_key b ]) m.m_pair);
+        ("max_steps", I m.m_max_steps);
+        ("steps", I m.m_steps);
+        ("error", some (fun e -> S e) m.m_error);
+        ("length", I (Array.length t.steps));
+        ("switches", I (switches t));
+      ]
+  in
+  let buf = Buffer.create (256 + (Array.length t.steps * 64)) in
+  Buffer.add_char buf '{';
+  List.iter
+    (fun (k, v) ->
+      Json.add_member buf k v;
+      Buffer.add_string buf ",\n ")
+    header;
+  Buffer.add_string buf "\"schedule\":[";
   Array.iteri
     (fun i st ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf "\n  ";
-      Buffer.add_string buf
-        (Printf.sprintf "{\"tid\":%d,\"op\":\"%s\"," st.st_tid
-           (kind_to_string st.st_key.k_kind));
-      (match st.st_key.k_site with
-      | None -> Buffer.add_string buf "\"site\":null,"
-      | Some k ->
-          Buffer.add_string buf "\"site\":";
-          json_site_key buf k;
-          Buffer.add_char buf ',');
-      Buffer.add_string buf (Printf.sprintf "\"rng\":\"%Ld\"}" st.st_rng))
+      Json.add buf (json_step st))
     t.steps;
   Buffer.add_string buf "\n ]}\n";
   Buffer.contents buf
-
-(* --- parser --- *)
-
-type jv =
-  | J_null
-  | J_bool of bool
-  | J_int of int
-  | J_string of string
-  | J_list of jv list
-  | J_obj of (string * jv) list
-
-let parse_json (s : string) : jv =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos >= n then fail "unexpected end of input" else s.[!pos] in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    if peek () <> c then fail "expected %C at offset %d" c !pos else advance ()
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'u' ->
-              if !pos + 4 >= n then fail "truncated \\u escape";
-              let code =
-                try int_of_string ("0x" ^ String.sub s (!pos + 1) 4)
-                with _ -> fail "bad \\u escape"
-              in
-              pos := !pos + 4;
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else Buffer.add_string buf (Printf.sprintf "\\u%04x" code)
-          | c -> fail "bad escape \\%C" c);
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> J_string (parse_string ())
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then (advance (); J_obj [])
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (k, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | ',' -> advance (); members ()
-            | '}' -> advance ()
-            | c -> fail "expected ',' or '}', got %C" c
-          in
-          members ();
-          J_obj (List.rev !fields)
-        end
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then (advance (); J_list [])
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | ',' -> advance (); elements ()
-            | ']' -> advance ()
-            | c -> fail "expected ',' or ']', got %C" c
-          in
-          elements ();
-          J_list (List.rev !items)
-        end
-    | 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then (pos := !pos + 4; J_bool true)
-        else fail "bad literal at offset %d" !pos
-    | 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then (pos := !pos + 5; J_bool false)
-        else fail "bad literal at offset %d" !pos
-    | 'n' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "null" then (pos := !pos + 4; J_null)
-        else fail "bad literal at offset %d" !pos
-    | _ ->
-        let start = !pos in
-        while
-          !pos < n
-          && match s.[!pos] with '0' .. '9' | '-' | '+' -> true | _ -> false
-        do
-          advance ()
-        done;
-        let tok = String.sub s start (!pos - start) in
-        J_int (try int_of_string tok with _ -> fail "bad number %S" tok)
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage at offset %d" !pos;
-  v
 
 let obj_field fields k =
   match List.assoc_opt k fields with
   | Some v -> v
   | None -> fail "missing field %S" k
 
-let j_int = function J_int i -> i | _ -> fail "expected int"
-let j_string = function J_string s -> s | _ -> fail "expected string"
+let j_int = function Json.I i -> i | _ -> fail "expected int"
+let j_string = function Json.S s -> s | _ -> fail "expected string"
 
 let j_site_key = function
-  | J_obj fields ->
+  | Json.O fields ->
       {
         sk_file = j_string (obj_field fields "file");
         sk_line = j_int (obj_field fields "line");
@@ -391,8 +248,9 @@ let j_site_key = function
   | _ -> fail "expected site object"
 
 let of_json text =
-  match parse_json text with
-  | J_obj fields ->
+  match Json.of_string text with
+  | exception Json.Error msg -> fail "%s" msg
+  | O fields ->
       let v = j_string (obj_field fields "version") in
       if v <> version then
         fail "schedule version %S, this reader speaks %S" v version;
@@ -402,24 +260,24 @@ let of_json text =
           m_seed = j_int (obj_field fields "seed");
           m_pair =
             (match obj_field fields "pair" with
-            | J_null -> None
-            | J_list [ a; b ] -> Some (j_site_key a, j_site_key b)
+            | Null -> None
+            | L [ a; b ] -> Some (j_site_key a, j_site_key b)
             | _ -> fail "expected pair as null or a 2-element array");
           m_max_steps = j_int (obj_field fields "max_steps");
           m_steps = j_int (obj_field fields "steps");
           m_error =
             (match obj_field fields "error" with
-            | J_null -> None
-            | J_string e -> Some e
+            | Null -> None
+            | S e -> Some e
             | _ -> fail "expected error as string or null");
         }
       in
       let steps =
         match obj_field fields "schedule" with
-        | J_list items ->
+        | L items ->
             List.map
               (function
-                | J_obj f ->
+                | Json.O f ->
                     let op = j_string (obj_field f "op") in
                     let kind =
                       match kind_of_string op with
@@ -433,7 +291,7 @@ let of_json text =
                           k_kind = kind;
                           k_site =
                             (match obj_field f "site" with
-                            | J_null -> None
+                            | Null -> None
                             | site -> Some (j_site_key site));
                         };
                       st_rng =

@@ -77,6 +77,60 @@ let test_writer_small_blocks () =
   Alcotest.(check bool) "multi-frame decode equal" true
     (Trace.equal (trace_of evs) (Btrace.to_trace bt))
 
+let test_escaping () =
+  (* strings travel length-prefixed, so separators, escapes and newlines
+     in file names, labels, locations and thread names survive intact *)
+  let nasty = "a b:c,d%e\nf\"g\\h" in
+  let site = Site.make ~file:nasty ~line:1 ~col:1 nasty in
+  let evs =
+    [
+      Event.Start { tid = 0; name = nasty };
+      mem ~site ~loc:(Loc.global nasty) ();
+      mem ~site ~loc:(Loc.field 3 nasty) ~access:Event.Read ();
+      Event.Acquire { tid = 0; lock = 1; site };
+    ]
+  in
+  let bt = Btrace.of_string (Btrace.to_string (Btrace.of_trace (trace_of evs))) in
+  Alcotest.(check bool) "nasty strings survive" true
+    (Trace.equal (trace_of evs) (Btrace.to_trace bt))
+
+let test_reinterning () =
+  (* Recorded sites re-intern to the same physical site when the
+     producing program is unchanged... *)
+  let raw = Btrace.to_string (Btrace.of_trace (trace_of [ mem ~site:s1 () ])) in
+  let only_site bt =
+    match Trace.to_list (Btrace.to_trace bt) with
+    | [ Event.Mem { site; _ } ] -> site
+    | _ -> Alcotest.fail "expected one MEM event"
+  in
+  Alcotest.(check int) "same site id after reload" (Site.id s1)
+    (Site.id (only_site (Btrace.of_string raw)));
+  (* ...but a statement that moved (same label, new line) is a different
+     site: re-interning is keyed on the full position, so stale
+     recordings cannot silently alias against a changed program.  Move
+     it by rewriting the line of the site definition (the record after
+     the pre-interned empty lockset) and re-sealing the frame. *)
+  let header = 6 in
+  let len = Sealed.check raw header in
+  let payload = Bytes.of_string (String.sub raw (header + 4) len) in
+  Alcotest.(check int) "site definition at payload byte 9" 0x01
+    (Bytes.get_uint8 payload 9);
+  Alcotest.(check int) "defined on line 1" 1
+    (Int32.to_int (Bytes.get_int32_le payload 14));
+  Bytes.set_int32_le payload 14 99l;
+  let frame_end = header + len + Sealed.overhead in
+  let moved =
+    String.sub raw 0 header
+    ^ Sealed.encode (Bytes.to_string payload)
+    ^ String.sub raw frame_end (String.length raw - frame_end)
+  in
+  let site = only_site (Btrace.of_string moved) in
+  Alcotest.(check bool) "moved statement is a new site" false
+    (Site.id site = Site.id s1);
+  Alcotest.(check int) "moved to line 99" 99 (Site.line site);
+  Alcotest.(check string) "label survives the move" (Site.label s1)
+    (Site.label site)
+
 (* ------------------------------------------------------------------ *)
 (* Rejection: every malformed input raises [Corrupt] with a message
    that names the defect, never a stray exception or a garbage trace. *)
@@ -280,6 +334,8 @@ let () =
           Alcotest.test_case "sample roundtrip" `Quick test_roundtrip_sample;
           Alcotest.test_case "file roundtrip" `Quick test_roundtrip_file;
           Alcotest.test_case "small blocks" `Quick test_writer_small_blocks;
+          Alcotest.test_case "escaping" `Quick test_escaping;
+          Alcotest.test_case "re-interning" `Quick test_reinterning;
           QCheck_alcotest.to_alcotest prop_roundtrip_random;
         ] );
       ( "rejection",

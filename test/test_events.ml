@@ -165,189 +165,6 @@ let test_trace_fold_iter () =
   Alcotest.(check int) "iter visits all" 10 !n;
   Alcotest.(check int) "to_list length" 10 (List.length (Trace.to_list tr))
 
-(* ------------------------------------------------------------------ *)
-(* Serialization                                                       *)
-
-let sample_trace () =
-  let tr = Trace.create () in
-  Trace.add tr (Event.Start { tid = 0; name = "main thread" });
-  Trace.add tr
-    (mem ~site:(Site.make ~file:"a file.rfl" ~line:3 ~col:9 "x = y:z%w") ());
-  Trace.add tr (mem ~loc:(Loc.field 4 "next ptr") ~access:Event.Read ~lockset:(Lockset.of_list [ 1; 5 ]) ());
-  Trace.add tr (mem ~loc:(Loc.elem 2 7) ());
-  Trace.add tr (Event.Acquire { tid = 1; lock = 5; site = s2 });
-  Trace.add tr (Event.Snd { tid = 1; msg = 3; reason = Event.Notify });
-  Trace.add tr (Event.Rcv { tid = 2; msg = 3; reason = Event.Notify });
-  Trace.add tr (Event.Release { tid = 1; lock = 5; site = s2 });
-  Trace.add tr (Event.Exit { tid = 0 });
-  tr
-
-let test_serial_roundtrip () =
-  let tr = sample_trace () in
-  let tr' = Serial.trace_of_string (Serial.trace_to_string tr) in
-  Alcotest.(check bool) "roundtrip equal" true (Trace.equal tr tr')
-
-let test_serial_file_roundtrip () =
-  let tr = sample_trace () in
-  let path = Filename.temp_file "rf_trace" ".txt" in
-  Serial.save_trace path tr;
-  let tr' = Serial.load_trace path in
-  Sys.remove path;
-  Alcotest.(check bool) "file roundtrip" true (Trace.equal tr tr')
-
-let test_serial_rejects_garbage () =
-  Alcotest.(check bool) "bad header" true
-    (try
-       ignore (Serial.trace_of_string "not a trace\n");
-       false
-     with Serial.Parse_error (1, _) -> true);
-  Alcotest.(check bool) "bad event" true
-    (try
-       ignore (Serial.trace_of_string "rf-trace v1\nBOGUS 1 2 3\n");
-       false
-     with Serial.Parse_error (2, _) -> true)
-
-let test_serial_escaping () =
-  let nasty = "a b:c,d%e\nf" in
-  let site = Site.make ~file:nasty ~line:1 ~col:1 nasty in
-  let ev = Event.Mem { tid = 0; site; loc = Loc.global nasty; access = Event.Write; lockset = Lockset.empty } in
-  let ev' = Serial.event_of_string ~line:1 (Serial.event_to_string ev) in
-  Alcotest.(check bool) "nasty strings survive" true (Event.equal ev ev')
-
-let gen_event =
-  QCheck.Gen.(
-    let site = map (fun n -> Site.make ~file:"g.rfl" ~line:(n mod 40) "st") small_nat in
-    let loc =
-      oneof
-        [
-          map (fun n -> Loc.global (Printf.sprintf "g%d" (n mod 5))) small_nat;
-          map (fun n -> Loc.field (n mod 6) "f") small_nat;
-          map2 (fun a i -> Loc.elem (a mod 4) (i mod 8)) small_nat small_nat;
-        ]
-    in
-    oneof
-      [
-        (let* tid = small_nat and* st = site and* l = loc and* w = bool in
-         let* locks = small_list (map (fun n -> n mod 9) small_nat) in
-         return
-           (Event.Mem
-              {
-                tid;
-                site = st;
-                loc = l;
-                access = (if w then Event.Write else Event.Read);
-                lockset = Lockset.of_list locks;
-              }));
-        (let* tid = small_nat and* lock = small_nat and* st = site in
-         return (Event.Acquire { tid; lock; site = st }));
-        (let* tid = small_nat and* lock = small_nat and* st = site in
-         return (Event.Release { tid; lock; site = st }));
-        (let* tid = small_nat and* msg = small_nat in
-         return (Event.Snd { tid; msg; reason = Event.Fork }));
-        (let* tid = small_nat and* msg = small_nat in
-         return (Event.Rcv { tid; msg; reason = Event.Join }));
-        map (fun tid -> Event.Start { tid; name = "t" }) small_nat;
-        map (fun tid -> Event.Exit { tid }) small_nat;
-      ])
-
-let prop_serial_roundtrip_random =
-  QCheck.Test.make ~name:"random traces roundtrip" ~count:150
-    (QCheck.make QCheck.Gen.(small_list gen_event))
-    (fun evs ->
-      let tr = Trace.create () in
-      List.iter (Trace.add tr) evs;
-      Trace.equal tr (Serial.trace_of_string (Serial.trace_to_string tr)))
-
-(* ------------------------------------------------------------------ *)
-(* Serial error paths: every malformed input must raise [Parse_error]
-   with the right line number, never a stray [Failure]/[Invalid_argument]
-   from the parsing internals. *)
-
-let check_parse_error name ~line input =
-  Alcotest.(check bool) name true
-    (try
-       ignore (Serial.trace_of_string input);
-       false
-     with
-    | Serial.Parse_error (l, _) -> l = line
-    | _ -> false)
-
-let with_header lines = String.concat "\n" ("rf-trace v1" :: lines) ^ "\n"
-
-let test_serial_malformed_events () =
-  check_parse_error "empty input" ~line:1 "";
-  check_parse_error "wrong header version" ~line:1 "rf-trace v2\n";
-  check_parse_error "non-integer tid" ~line:2 (with_header [ "EXIT banana" ]);
-  check_parse_error "bad access letter" ~line:2
-    (with_header [ "MEM 0 X G:x ev.rfl:1:0:w -" ]);
-  check_parse_error "bad sync reason" ~line:2 (with_header [ "SND 0 1 telepathy" ]);
-  check_parse_error "bad loc tag" ~line:2
-    (with_header [ "MEM 0 W Q:x ev.rfl:1:0:w -" ]);
-  check_parse_error "bad field loc offset" ~line:2
-    (with_header [ "MEM 0 W F:no:f ev.rfl:1:0:w -" ]);
-  check_parse_error "bad elem loc index" ~line:2
-    (with_header [ "MEM 0 W E:1:no ev.rfl:1:0:w -" ]);
-  check_parse_error "bad site arity" ~line:2
-    (with_header [ "MEM 0 W G:x ev.rfl:1:w -" ]);
-  check_parse_error "bad site coordinates" ~line:2
-    (with_header [ "MEM 0 W G:x ev.rfl:one:0:w -" ]);
-  check_parse_error "bad lockset element" ~line:2
-    (with_header [ "MEM 0 W G:x ev.rfl:1:0:w 1,zap" ]);
-  check_parse_error "wrong event arity" ~line:2 (with_header [ "ACQ 0 5" ]);
-  check_parse_error "unknown event kind" ~line:2 (with_header [ "HCF 0" ]);
-  (* blank lines are skipped, so the error lands on the real line number *)
-  check_parse_error "error after blank line" ~line:4
-    (with_header [ "EXIT 0"; ""; "EXIT nope" ])
-
-let test_serial_truncated_escapes () =
-  (* '%' at end of field, '%' with one hex char, and an undefined escape *)
-  check_parse_error "escape at end of field" ~line:2
-    (with_header [ "START 0 abc%" ]);
-  check_parse_error "escape one char short" ~line:2
-    (with_header [ "START 0 ab%2" ]);
-  check_parse_error "undefined escape code" ~line:2
-    (with_header [ "START 0 a%q1b" ])
-
-let test_serial_reinterning () =
-  (* Serialized sites re-intern to the same physical site when the
-     producing program is unchanged... *)
-  let tr = Trace.create () in
-  Trace.add tr (mem ~site:s1 ());
-  let tr' = Serial.trace_of_string (Serial.trace_to_string tr) in
-  (match Trace.to_list tr' with
-  | [ Event.Mem { site; _ } ] ->
-      Alcotest.(check int) "same site id after reload" (Site.id s1) (Site.id site)
-  | _ -> Alcotest.fail "expected one MEM event");
-  (* ...but a statement that moved (same label, new line) is a different
-     site: re-interning is keyed on the full position, so stale traces
-     cannot silently alias against a changed program. *)
-  let replace ~sub ~by s =
-    let n = String.length sub and buf = Buffer.create (String.length s) in
-    let i = ref 0 in
-    while !i < String.length s do
-      if !i + n <= String.length s && String.sub s !i n = sub then begin
-        Buffer.add_string buf by;
-        i := !i + n
-      end
-      else begin
-        Buffer.add_char buf s.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents buf
-  in
-  let moved =
-    replace ~sub:"ev.rfl:1:" ~by:"ev.rfl:99:" (Serial.trace_to_string tr)
-  in
-  let tr_moved = Serial.trace_of_string moved in
-  match Trace.to_list tr_moved with
-  | [ Event.Mem { site; _ } ] ->
-      Alcotest.(check bool) "moved statement is a new site" false
-        (Site.id site = Site.id s1);
-      Alcotest.(check int) "label survives the move" 0
-        (compare (Site.label site) (Site.label s1))
-  | _ -> Alcotest.fail "expected one MEM event"
-
 let prop_lockset_disjoint_iff_empty_inter =
   QCheck.Test.make ~name:"disjoint iff empty intersection" ~count:300
     QCheck.(pair (small_list small_nat) (small_list small_nat))
@@ -378,16 +195,5 @@ let () =
             test_trace_sentinel_invisible;
           Alcotest.test_case "counts" `Quick test_trace_counts;
           Alcotest.test_case "fold/iter" `Quick test_trace_fold_iter;
-        ] );
-      ( "serial",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_serial_roundtrip;
-          Alcotest.test_case "file roundtrip" `Quick test_serial_file_roundtrip;
-          Alcotest.test_case "rejects garbage" `Quick test_serial_rejects_garbage;
-          Alcotest.test_case "escaping" `Quick test_serial_escaping;
-          Alcotest.test_case "malformed events" `Quick test_serial_malformed_events;
-          Alcotest.test_case "truncated escapes" `Quick test_serial_truncated_escapes;
-          Alcotest.test_case "re-interning" `Quick test_serial_reinterning;
-          QCheck_alcotest.to_alcotest prop_serial_roundtrip_random;
         ] );
     ]

@@ -268,16 +268,16 @@ let test_schedule_save_is_atomic () =
 
 let test_seal_detects_corruption () =
   let line = {|{"seq":1,"t":0.5,"ev":"trial_started","pair":"(a, b)","seed":3}|} in
-  let sealed = Event_log.seal line in
+  let sealed = Rf_util.Json.seal line in
   Alcotest.(check bool) "sealed line verifies" true
-    (Event_log.check_seal sealed = Event_log.Sealed_ok);
+    (Rf_util.Json.check_seal sealed = Rf_util.Json.Sealed_ok);
   Alcotest.(check bool) "unsealed line is Unsealed" true
-    (Event_log.check_seal line = Event_log.Unsealed);
+    (Rf_util.Json.check_seal line = Rf_util.Json.Unsealed);
   (* flip a char that cannot appear in the hex crc, so only the payload
      changes and the mismatch is guaranteed *)
   let corrupt = String.map (fun c -> if c = 'q' then 'x' else c) sealed in
   Alcotest.(check bool) "in-place corruption detected" true
-    (Event_log.check_seal corrupt = Event_log.Sealed_bad)
+    (Rf_util.Json.check_seal corrupt = Rf_util.Json.Sealed_bad)
 
 let test_corrupt_journal_line_skipped () =
   let path = Filename.temp_file "rf_journal" ".jsonl" in
